@@ -389,7 +389,8 @@ fn spawn_reader<R: Read + Send + 'static>(
                     | ServerMsg::Attached { .. }
                     | ServerMsg::AttachRefused { .. }
                     | ServerMsg::Detached { .. }
-                    | ServerMsg::DeliverTo { .. },
+                    | ServerMsg::DeliverTo { .. }
+                    | ServerMsg::DeliverMany { .. },
                 ) => {
                     // Mux-family frames belong to `MuxClient` connections; a
                     // legacy session never negotiated them — drop the frame.

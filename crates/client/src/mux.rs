@@ -7,8 +7,9 @@
 //! each attached with [`MuxClient::attach`], carrying its own VMN
 //! identity, packet-id space and inbound delivery queue. One background
 //! reader demultiplexes the socket: `DeliverTo` frames route to their
-//! session's queue, attach replies pair FIFO with pipelined `Attach`
-//! requests, and clock synchronization is shared connection-wide (all
+//! session's queue, `DeliverMany` frames fan one packet out to every
+//! listed session (the payload is shared, not copied), attach replies
+//! pair FIFO with pipelined `Attach` requests, and clock synchronization is shared connection-wide (all
 //! sessions ride the same host clock).
 //!
 //! [`crate::ClientError`] is reused verbatim; the transport is any
@@ -350,6 +351,17 @@ fn spawn_mux_reader<R: Read + Send + 'static>(
                     let _ = tx.send((packet, forwarded_at));
                 }
             }
+            Ok(ServerMsg::DeliverMany { to, packet, forwarded_at }) => {
+                // One look at the routing table for the whole frame; the
+                // sends happen with it unlocked, as for `DeliverTo`.
+                let fanout: Vec<_> = {
+                    let sessions = inner.sessions.lock();
+                    to.iter().filter_map(|node| sessions.get(node).cloned()).collect()
+                };
+                for tx in fanout {
+                    let _ = tx.send((packet.clone(), forwarded_at));
+                }
+            }
             Ok(ServerMsg::Attached { node, .. }) => {
                 let _ = attach_tx.send(Ok(node));
             }
@@ -493,6 +505,23 @@ mod tests {
                 })
                 .unwrap();
             }
+            // One frame for both sessions — and for a node nobody attached,
+            // which is skipped.
+            let pkt = EmuPacket::new(
+                PacketId(6),
+                NodeId(9),
+                Destination::Broadcast,
+                ChannelId(1),
+                RadioId(0),
+                EmuTime::from_millis(3),
+                Bytes::from(vec![33u8]),
+            );
+            tx.send(&ServerMsg::DeliverMany {
+                to: vec![NodeId(1), NodeId(7), NodeId(2)],
+                packet: pkt,
+                forwarded_at: EmuTime::from_millis(4),
+            })
+            .unwrap();
         });
         let clock: Arc<dyn Clock> = Arc::new(VirtualClock::new());
         let mux = MuxClient::connect(r, w, clock).unwrap();
@@ -503,6 +532,11 @@ mod tests {
         let (p2, _) = sessions[1].recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(&p1.payload[..], &[11]);
         assert_eq!(&p2.payload[..], &[22]);
+        for s in &sessions {
+            let (p, forwarded_at) = s.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!((p.id, &p.payload[..]), (PacketId(6), &[33u8][..]));
+            assert_eq!(forwarded_at, EmuTime::from_millis(4));
+        }
         assert!(sessions[0].try_recv().is_none());
         h.join().unwrap();
     }

@@ -89,15 +89,6 @@ impl<T> ForwardSchedule<T> {
         self.heap.pop().map(|Reverse(s)| (s.due, s.item))
     }
 
-    /// Drains every entry due at or before `now`, in order.
-    pub fn drain_due(&mut self, now: EmuTime) -> Vec<(EmuTime, T)> {
-        let mut out = Vec::new();
-        while let Some(e) = self.pop_due(now) {
-            out.push(e);
-        }
-        out
-    }
-
     /// Number of pending entries.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -155,13 +146,14 @@ mod tests {
     }
 
     #[test]
-    fn drain_due_takes_prefix() {
+    fn popping_until_none_takes_the_due_prefix_in_order() {
         let mut s = ForwardSchedule::new();
         for i in 1..=10u64 {
             s.schedule(EmuTime::from_millis(i * 10), i);
         }
-        let drained = s.drain_due(EmuTime::from_millis(35));
-        assert_eq!(drained.iter().map(|&(_, i)| i).collect::<Vec<_>>(), vec![1, 2, 3]);
+        let now = EmuTime::from_millis(35);
+        let drained: Vec<u64> = std::iter::from_fn(|| s.pop_due(now)).map(|(_, i)| i).collect();
+        assert_eq!(drained, vec![1, 2, 3]);
         assert_eq!(s.len(), 7);
     }
 

@@ -31,11 +31,10 @@ pub enum SleepPolicy {
     /// pinned. Condvar-sleeps only while the schedule is empty.
     Spin,
     /// Hybrid while the loop keeps up; once the overload duty cycle over a
-    /// sliding window crosses the engage threshold, fall back to
-    /// batch-drain with coarse (naive) waits until the duty cycle decays
-    /// below the disengage threshold ([`DutyCycle`] hysteresis). Trades
-    /// wake precision for throughput exactly when precision is already
-    /// lost to overload.
+    /// sliding window crosses the engage threshold, fall back to coarse
+    /// (naive) waits until the duty cycle decays below the disengage
+    /// threshold ([`DutyCycle`] hysteresis). Trades wake precision for
+    /// throughput exactly when precision is already lost to overload.
     Auto,
 }
 
@@ -118,6 +117,21 @@ impl GuardBand {
             self.srt_ns = (self.srt_ns as i64 + err / 8).max(0) as u64;
         }
         self.samples += 1;
+    }
+
+    /// Ages the estimate when no sample can arrive: `var −= var/8`,
+    /// `srt −= srt/16`.
+    ///
+    /// A band wider than the gap between deadlines leaves the scan loop
+    /// nothing but precision-phase spins, and a spin measures no wake-up
+    /// error — one late wake-up would otherwise pin a core until traffic
+    /// thins out. Called once per such spin, this walks the band back
+    /// under the gap within a few deadlines; the first timed wait after
+    /// that feeds [`observe`](Self::observe) again, so a host that really
+    /// is that sloppy re-widens on its next sample.
+    pub fn decay(&mut self) {
+        self.var_ns -= self.var_ns / 8;
+        self.srt_ns -= self.srt_ns / 16;
     }
 
     /// The current guard band in nanoseconds: `srt + 4·var`, clamped.
@@ -300,6 +314,35 @@ mod tests {
         // Constant 50 µs error: srt → 50 µs, var → 0, guard → 50 µs-ish.
         let guard = g.current_ns();
         assert!((50_000..150_000).contains(&guard), "guard = {guard}");
+    }
+
+    #[test]
+    fn guard_band_decays_out_of_a_latch_and_rewidens_on_the_next_sample() {
+        const GAP_NS: u64 = 500_000;
+        let mut g = GuardBand::standard();
+        for _ in 0..50 {
+            g.observe(40_000);
+        }
+        assert!(g.current_ns() < GAP_NS);
+        // One 600 µs wake-up pushes the band past the gap between
+        // deadlines: from here the loop only spins, and samples stop.
+        g.observe(600_000);
+        assert!(g.current_ns() > GAP_NS, "guard = {}", g.current_ns());
+        let mut spins = 0;
+        while g.current_ns() > GAP_NS {
+            g.decay();
+            spins += 1;
+            assert!(spins <= 8, "still {} ns after {spins} spin-only passes", g.current_ns());
+        }
+        // Ageing never undercuts the clamp, however long the latch lasted.
+        let mut aged = g.clone();
+        for _ in 0..1_000 {
+            aged.decay();
+        }
+        assert_eq!(aged.current_ns(), 20_000);
+        // A host that really wakes 600 µs late widens again at once.
+        g.observe(600_000);
+        assert!(g.current_ns() > GAP_NS, "guard = {}", g.current_ns());
     }
 
     #[test]

@@ -147,7 +147,7 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if entry.file_type()?.is_dir() {
-            if name.starts_with('.') || SKIP_DIRS.contains(&name.as_ref()) {
+            if name.starts_with('.') || SKIP_DIRS.contains(&name.as_ref()) || is_workspace(&path) {
                 continue;
             }
             walk(&path, out)?;
@@ -156,6 +156,14 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
         }
     }
     Ok(())
+}
+
+/// Whether `dir` is the root of a cargo workspace of its own. A nested
+/// one (the benchmark package) is not part of the workspace being linted:
+/// its own CI script builds and checks it.
+fn is_workspace(dir: &Path) -> bool {
+    fs::read_to_string(dir.join("Cargo.toml"))
+        .is_ok_and(|manifest| manifest.lines().any(|l| l.trim() == "[workspace]"))
 }
 
 /// Map a finished report to the process exit code: `0` clean, `1` findings

@@ -6,7 +6,10 @@
 //! `Serialize`/`Deserialize` cannot cross the wire); dispatch coverage is
 //! checked by looking for a `Enum::Variant` arm in the configured dispatch
 //! files. A variant that a peer can send but the receiver never matches is
-//! exactly the kind of silent protocol drift this rule exists to catch.
+//! exactly the kind of silent protocol drift this rule exists to catch —
+//! and so is one the receivers match but the sender never builds, which is
+//! why the server is listed for `ServerMsg` too (there a constructor
+//! helper, `Enum::variant_name(..)`, counts as naming the variant).
 
 use crate::report::Finding;
 use crate::source::{ident_at, is_ident, is_punct, matching, SourceFile, TokenKind};
@@ -22,7 +25,7 @@ const CHECKS: &[(&str, &str, &[&str])] = &[
     (
         "crates/proto/src/messages.rs",
         "ServerMsg",
-        &["crates/client/src/client.rs", "crates/client/src/mux.rs"],
+        &["crates/server/src/server.rs", "crates/client/src/client.rs", "crates/client/src/mux.rs"],
     ),
     (
         "crates/proto/src/messages.rs",
@@ -183,14 +186,29 @@ fn rmatching(t: &[crate::lexer::Token], close_idx: usize) -> Option<usize> {
     None
 }
 
-/// True when `f` contains `Enum::Variant` outside test regions.
+/// True when `f` contains `Enum::Variant`, or a call of the variant's
+/// constructor helper `Enum::variant(`, outside test regions.
 fn has_dispatch_arm(f: &SourceFile, enum_name: &str, variant: &str) -> bool {
     let t = &f.tokens;
+    let helper = snake_case(variant);
     (0..t.len()).any(|i| {
         is_ident(t, i, enum_name)
             && is_punct(t, i + 1, ':')
             && is_punct(t, i + 2, ':')
-            && is_ident(t, i + 3, variant)
+            && (is_ident(t, i + 3, variant)
+                || (is_ident(t, i + 3, &helper) && is_punct(t, i + 4, '(')))
             && !f.in_test_region(t[i].line)
     })
+}
+
+/// `SyncReply` → `sync_reply`.
+fn snake_case(variant: &str) -> String {
+    let mut out = String::with_capacity(variant.len() + 4);
+    for (i, c) in variant.chars().enumerate() {
+        if c.is_uppercase() && i > 0 {
+            out.push('_');
+        }
+        out.extend(c.to_lowercase());
+    }
+    out
 }

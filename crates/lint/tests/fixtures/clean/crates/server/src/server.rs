@@ -4,3 +4,7 @@ pub fn dispatch(msg: crate::ClientMsg) {
         ClientMsg::Bye => {}
     }
 }
+
+pub fn greet() -> crate::ServerMsg {
+    crate::ServerMsg::Welcome { version: 2 }
+}

@@ -8,6 +8,7 @@ pub enum ClientMsg {
 #[derive(Serialize, Deserialize)]
 pub enum ServerMsg {
     Welcome,
+    DeliverMany { to: Vec<u32> },
 }
 
 #[derive(Serialize, Deserialize)]

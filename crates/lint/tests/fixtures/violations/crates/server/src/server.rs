@@ -23,3 +23,7 @@ pub fn scan_loop(s: &crate::Shared) {
 fn step() -> core::time::Duration {
     core::time::Duration::from_millis(1)
 }
+
+pub fn greet() -> crate::ServerMsg {
+    ServerMsg::Welcome
+}

@@ -46,8 +46,10 @@ fn violations_fixture_hits_every_rule_and_exits_nonzero() {
             ("panic_safety", "crates/proto/src/codec.rs", 2),
             ("panic_safety", "crates/proto/src/codec.rs", 2),
             ("exhaustiveness", "crates/proto/src/messages.rs", 5),
-            ("exhaustiveness", "crates/proto/src/messages.rs", 16),
+            ("exhaustiveness", "crates/proto/src/messages.rs", 11),
+            ("exhaustiveness", "crates/proto/src/messages.rs", 11),
             ("exhaustiveness", "crates/proto/src/messages.rs", 17),
+            ("exhaustiveness", "crates/proto/src/messages.rs", 18),
             ("exhaustiveness", "crates/record/src/records.rs", 11),
             ("lock_graph", "crates/server/src/a.rs", 3),
             ("metrics_drift", "crates/server/src/metrics.rs", 3),
@@ -175,6 +177,10 @@ fn violations_fixture_messages_name_the_problem() {
     assert!(msgs.iter().any(|m| m.contains("Instant::now")));
     assert!(msgs.iter().any(|m| m.contains("nondeterministic order")));
     assert!(msgs.iter().any(|m| m.contains("ClientMsg::Bye")));
+    // A variant the server never builds and the client never matches.
+    for file in ["crates/server/src/server.rs", "crates/client/src/client.rs"] {
+        assert!(msgs.iter().any(|m| m.contains("ServerMsg::DeliverMany") && m.contains(file)));
+    }
     assert!(msgs.iter().any(|m| m.contains("ClusterMsg::Shutdown")));
     assert!(msgs.iter().any(|m| m.contains("ClusterMsg::Barrier")));
     assert!(msgs.iter().any(|m| m.contains("FaultRecord::Clock")));

@@ -75,9 +75,24 @@ impl de::Error for CodecError {
 
 /// Encodes a value to bytes.
 pub fn to_bytes<T: Serialize>(value: &T) -> Result<Vec<u8>, CodecError> {
-    let mut ser = BinSerializer { out: Vec::new() };
-    value.serialize(&mut ser)?;
-    Ok(ser.out)
+    let mut out = Vec::new();
+    to_bytes_into(&mut out, value)?;
+    Ok(out)
+}
+
+/// Appends a value's encoding to `out`, for callers that reuse one buffer
+/// across messages. On error `out` is cut back to its original length.
+pub fn to_bytes_into<T: Serialize>(out: &mut Vec<u8>, value: &T) -> Result<(), CodecError> {
+    let start = out.len();
+    // The serializer owns its buffer; lend it `out`'s allocation for the
+    // call instead of threading a lifetime through every compound impl.
+    let mut ser = BinSerializer { out: std::mem::take(out) };
+    let result = value.serialize(&mut ser);
+    *out = ser.out;
+    if result.is_err() {
+        out.truncate(start);
+    }
+    result
 }
 
 /// Decodes a value from bytes, requiring the input to be fully consumed.

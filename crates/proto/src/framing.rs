@@ -6,7 +6,7 @@
 //! `try_clone`, or an in-memory [`crate::pipe`]); [`FrameDecoder`] is a
 //! feed-style reassembler for callers that manage their own buffers.
 
-use crate::codec::{from_bytes, to_bytes, CodecError};
+use crate::codec::{from_bytes, to_bytes_into, CodecError};
 use bytes::{Buf, BytesMut};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
@@ -20,41 +20,57 @@ fn codec_err(e: CodecError) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, e)
 }
 
-/// Encodes one message as a complete frame (length prefix + body), for
-/// callers that manage their own write buffers — e.g. the server reactor,
-/// which appends frames to per-connection output buffers instead of
-/// writing through a blocking [`MsgWriter`].
+/// Encodes one message as a complete frame (length prefix + body).
 pub fn encode_frame<T: Serialize>(msg: &T) -> io::Result<Vec<u8>> {
-    let body = to_bytes(msg).map_err(codec_err)?;
-    if body.len() > MAX_FRAME_LEN {
-        return Err(io::Error::new(io::ErrorKind::InvalidInput, "frame too large"));
-    }
-    let mut frame = Vec::with_capacity(4 + body.len());
-    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&body);
+    let mut frame = Vec::new();
+    encode_frame_into(&mut frame, msg)?;
     Ok(frame)
+}
+
+/// Appends one message as a complete frame (length prefix + body) to
+/// `out`, for callers that manage their own write buffers — the server
+/// reactor encodes straight into per-connection output buffers, and
+/// [`MsgWriter`] into one it reuses. On error `out` is left as it was.
+pub fn encode_frame_into<T: Serialize>(out: &mut Vec<u8>, msg: &T) -> io::Result<()> {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    let encoded = to_bytes_into(out, msg).map_err(codec_err).and_then(|()| {
+        let len = out.len() - start - 4;
+        if len > MAX_FRAME_LEN {
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, "frame too large"));
+        }
+        if let Some(prefix) = out.get_mut(start..start + 4) {
+            prefix.copy_from_slice(&(len as u32).to_le_bytes());
+        }
+        Ok(())
+    });
+    if encoded.is_err() {
+        out.truncate(start);
+    }
+    encoded
 }
 
 /// Writes framed messages to a byte sink.
 #[derive(Debug)]
 pub struct MsgWriter<W: Write> {
     w: W,
+    /// The frame being sent; kept for its allocation.
+    frame: Vec<u8>,
 }
 
 impl<W: Write> MsgWriter<W> {
     /// Wraps a sink.
     pub fn new(w: W) -> Self {
-        MsgWriter { w }
+        MsgWriter { w, frame: Vec::new() }
     }
 
-    /// Encodes and writes one message, flushing the sink.
+    /// Encodes one message and hands the whole frame to the sink in a
+    /// single `write_all` — on an unbuffered `TCP_NODELAY` socket that is
+    /// one syscall and one segment per message — then flushes the sink.
     pub fn send<T: Serialize>(&mut self, msg: &T) -> io::Result<()> {
-        let body = to_bytes(msg).map_err(codec_err)?;
-        if body.len() > MAX_FRAME_LEN {
-            return Err(io::Error::new(io::ErrorKind::InvalidInput, "frame too large"));
-        }
-        self.w.write_all(&(body.len() as u32).to_le_bytes())?;
-        self.w.write_all(&body)?;
+        self.frame.clear();
+        encode_frame_into(&mut self.frame, msg)?;
+        self.w.write_all(&self.frame)?;
         self.w.flush()
     }
 
@@ -178,6 +194,69 @@ mod tests {
         // Stream exhausted → UnexpectedEof.
         let err = r.recv::<ClientMsg>().unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    /// A sink that counts `write` calls, taking at most `max` bytes each.
+    struct CountingSink {
+        bytes: Vec<u8>,
+        writes: usize,
+        max: usize,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.max);
+            self.bytes.extend_from_slice(&buf[..n]);
+            self.writes += 1;
+            Ok(n)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn one_message_is_one_write_with_unchanged_bytes() {
+        let msgs = [
+            ClientMsg::hello(NodeId(1)),
+            ClientMsg::SyncRequest { t_c1: EmuTime::from_millis(9) },
+            ClientMsg::Bye,
+        ];
+        let mut w = MsgWriter::new(CountingSink { bytes: Vec::new(), writes: 0, max: usize::MAX });
+        let mut want = Vec::new();
+        for (i, m) in msgs.iter().enumerate() {
+            w.send(m).unwrap();
+            // The wire format: 4-byte little-endian body length, body.
+            let body = crate::codec::to_bytes(m).unwrap();
+            want.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            want.extend_from_slice(&body);
+            let sink = &w.w;
+            assert_eq!(sink.writes, i + 1, "length prefix and body leave in one write");
+            assert_eq!(sink.bytes, want);
+        }
+
+        // A sink that takes a few bytes at a time still gets every byte.
+        let mut w = MsgWriter::new(CountingSink { bytes: Vec::new(), writes: 0, max: 3 });
+        for m in &msgs {
+            w.send(m).unwrap();
+        }
+        assert_eq!(w.into_inner().bytes, want);
+    }
+
+    #[test]
+    fn encode_frame_into_appends_and_undoes_a_failed_frame() {
+        let mut out = b"kept".to_vec();
+        encode_frame_into(&mut out, &ClientMsg::Bye).unwrap();
+        assert_eq!(&out[..4], b"kept");
+        assert_eq!(out[4..], encode_frame(&ClientMsg::Bye).unwrap());
+        // A body over the frame cap is refused and leaves no trace.
+        let before = out.clone();
+        let huge = ServerMsg::Refused { reason: "x".repeat(MAX_FRAME_LEN) };
+        assert_eq!(
+            encode_frame_into(&mut out, &huge).unwrap_err().kind(),
+            io::ErrorKind::InvalidInput
+        );
+        assert_eq!(out, before);
     }
 
     #[test]

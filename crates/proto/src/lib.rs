@@ -26,8 +26,10 @@ pub mod framing;
 pub mod messages;
 pub mod pipe;
 
-pub use codec::{from_bytes, to_bytes, CodecError};
-pub use framing::{encode_frame, FrameDecoder, MsgReader, MsgWriter, MAX_FRAME_LEN};
+pub use codec::{from_bytes, to_bytes, to_bytes_into, CodecError};
+pub use framing::{
+    encode_frame, encode_frame_into, FrameDecoder, MsgReader, MsgWriter, MAX_FRAME_LEN,
+};
 pub use messages::{
     ClientMsg, ClusterMsg, PacketDecisions, ServerMsg, TargetDecision, WireDecision,
     PROTOCOL_VERSION,

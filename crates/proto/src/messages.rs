@@ -11,7 +11,9 @@ use poem_core::{EmuPacket, EmuTime, NodeId, PacketId};
 use serde::{Deserialize, Serialize};
 
 /// Current protocol version; bumped on any wire-incompatible change.
-pub const PROTOCOL_VERSION: u16 = 1;
+/// Version 2 added [`ServerMsg::DeliverMany`]: a v1 mux client would drop
+/// the frame and lose every copy it carries, so the handshake refuses it.
+pub const PROTOCOL_VERSION: u16 = 2;
 
 /// Messages flowing client → server.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -135,6 +137,22 @@ pub enum ServerMsg {
         /// The packet (original client timestamp preserved).
         packet: EmuPacket,
         /// Server emulation time at which the forward fired.
+        forwarded_at: EmuTime,
+    },
+    /// One forwarded packet delivered to several virtual sessions of a
+    /// mux connection: the copies of one packet that came due together
+    /// travel as one frame, and the client fans them out. Appended after
+    /// [`ServerMsg::DeliverTo`] so every earlier encoding is unchanged;
+    /// on the wire it is `u32` variant index 10, a `u64` receiver count,
+    /// that many `u32` node ids, then the packet and `forwarded_at`
+    /// exactly as in `DeliverTo`.
+    DeliverMany {
+        /// The receiving VMNs, in fire order. Never empty when the server
+        /// sends it; a client treats an empty list as a no-op.
+        to: Vec<NodeId>,
+        /// The packet every listed session receives.
+        packet: EmuPacket,
+        /// Server emulation time at which the forwards fired.
         forwarded_at: EmuTime,
     },
 }
@@ -364,6 +382,39 @@ mod tests {
         );
     }
 
+    /// `DeliverMany` is `DeliverTo` with the single receiver replaced by a
+    /// counted list: same variant-index scheme, same packet and stamp
+    /// bytes after the list.
+    #[test]
+    fn deliver_many_wire_layout_extends_deliver_to() {
+        let packet = EmuPacket::new(
+            PacketId(2),
+            NodeId(3),
+            poem_core::packet::Destination::Broadcast,
+            ChannelId(1),
+            RadioId(0),
+            EmuTime::from_millis(3),
+            vec![7u8; 8],
+        );
+        let forwarded_at = EmuTime::from_millis(4);
+        let one =
+            to_bytes(&ServerMsg::DeliverTo { to: NodeId(6), packet: packet.clone(), forwarded_at })
+                .unwrap();
+        let many = to_bytes(&ServerMsg::DeliverMany {
+            to: vec![NodeId(6), NodeId(9)],
+            packet,
+            forwarded_at,
+        })
+        .unwrap();
+        assert_eq!(one[..4], 9u32.to_le_bytes());
+        assert_eq!(many[..4], 10u32.to_le_bytes());
+        assert_eq!(many[4..12], 2u64.to_le_bytes());
+        assert_eq!(many[12..16], 6u32.to_le_bytes());
+        assert_eq!(many[16..20], 9u32.to_le_bytes());
+        // Everything after the receiver list is byte-identical.
+        assert_eq!(many[20..], one[8..]);
+    }
+
     #[test]
     fn server_messages_roundtrip() {
         let msgs = vec![
@@ -398,6 +449,19 @@ mod tests {
                 to: NodeId(6),
                 packet: EmuPacket::new(
                     PacketId(2),
+                    NodeId(3),
+                    poem_core::packet::Destination::Broadcast,
+                    ChannelId(1),
+                    RadioId(0),
+                    EmuTime::from_millis(3),
+                    vec![7u8; 8],
+                ),
+                forwarded_at: EmuTime::from_millis(4),
+            },
+            ServerMsg::DeliverMany {
+                to: vec![NodeId(6), NodeId(9), NodeId(2)],
+                packet: EmuPacket::new(
+                    PacketId(3),
                     NodeId(3),
                     poem_core::packet::Destination::Broadcast,
                     ChannelId(1),

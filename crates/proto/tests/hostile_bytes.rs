@@ -7,7 +7,8 @@
 //! `tests/prop_fuzz_decode.rs`, every case here is a fixed byte pattern, so
 //! a regression fails reproducibly with a readable diff.
 
-use poem_core::{EmuTime, NodeId};
+use poem_core::packet::Destination;
+use poem_core::{ChannelId, EmuPacket, EmuTime, NodeId, PacketId, RadioId};
 use poem_proto::messages::PROTOCOL_VERSION;
 use poem_proto::{
     from_bytes, to_bytes, ClientMsg, CodecError, FrameDecoder, ServerMsg, MAX_FRAME_LEN,
@@ -35,7 +36,24 @@ fn sample_server_msgs() -> Vec<ServerMsg> {
             EmuTime::from_millis(3),
         ),
         ServerMsg::Shutdown,
+        deliver_many(&[NodeId(2), NodeId(5), NodeId(9)]),
     ]
+}
+
+fn deliver_many(to: &[NodeId]) -> ServerMsg {
+    ServerMsg::DeliverMany {
+        to: to.to_vec(),
+        packet: EmuPacket::new(
+            PacketId(77),
+            NodeId(1),
+            Destination::Broadcast,
+            ChannelId(1),
+            RadioId(0),
+            EmuTime::from_millis(4),
+            vec![0xC3u8; 24],
+        ),
+        forwarded_at: EmuTime::from_millis(6),
+    }
 }
 
 /// Every strict prefix of a valid encoding must decode to `Err`, and the
@@ -80,6 +98,33 @@ fn absurd_length_prefix_is_rejected() {
         Err(CodecError::BadLength(_) | CodecError::Eof) => {}
         other => panic!("expected BadLength/Eof, got {other:?}"),
     }
+}
+
+/// `DeliverMany`'s receiver list is a counted sequence in front of the
+/// packet: a count the bytes cannot back — by one, or by 2³² — is a clean
+/// error that allocates nothing for the phantom receivers, and an empty
+/// list is a well-formed frame (the client fans it out to nobody).
+#[test]
+fn deliver_many_receiver_counts_are_checked_against_the_bytes() {
+    let valid = to_bytes(&deliver_many(&[NodeId(2), NodeId(5)])).expect("encode");
+    // Variant tag (u32), then the u64 receiver count.
+    // (With three claimed and two sent, the third id is read out of the
+    // packet's bytes and the frame runs dry further on.)
+    for claimed in [3u64, 1 << 32, (1 << 32) + 1, u64::MAX] {
+        let mut hostile = valid.clone();
+        hostile[4..12].copy_from_slice(&claimed.to_le_bytes());
+        let decoded = from_bytes::<ServerMsg>(&hostile);
+        assert!(decoded.is_err(), "{claimed} receivers decoded as {decoded:?}");
+    }
+    // A count below the truth leaves the surplus ids to be misread as
+    // packet bytes: still an error, not a shorter receiver list.
+    let mut short = valid.clone();
+    short[4..12].copy_from_slice(&1u64.to_le_bytes());
+    assert!(from_bytes::<ServerMsg>(&short).is_err());
+
+    let empty = deliver_many(&[]);
+    let bytes = to_bytes(&empty).expect("encode");
+    assert_eq!(from_bytes::<ServerMsg>(&bytes), Ok(empty));
 }
 
 /// Invalid enum variant tags, bool bytes and UTF-8 must all error cleanly.

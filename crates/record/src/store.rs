@@ -183,6 +183,22 @@ impl Recorder {
         self.traffic_buffered.inc();
     }
 
+    /// Appends several traffic records, in iteration order, under one
+    /// acquisition of the log's lock — the real-time fire path records a
+    /// whole frame's copies at once.
+    pub fn record_traffic_many(&self, recs: impl IntoIterator<Item = TrafficRecord>) {
+        let spool = self.spool.get();
+        let mut log = self.traffic.lock();
+        let before = log.len();
+        for rec in recs {
+            if let Some(s) = spool {
+                s.offer(crate::segment::SpoolRecord::Traffic(rec.clone()));
+            }
+            log.append(rec);
+        }
+        self.traffic_buffered.add((log.len() - before) as u64);
+    }
+
     /// Appends a scene record.
     pub fn record_scene(&self, rec: SceneRecord) {
         if let Some(s) = self.spool.get() {

@@ -15,15 +15,18 @@
 //!
 //! * **Dispatch** — worker 0 owns the (non-blocking) listener and deals
 //!   accepted streams round-robin into per-worker incoming queues.
-//! * **Delivery** — the scan thread encodes a frame and appends it to the
-//!   connection's shared [`OutBuf`] (writing through the socket directly
-//!   when the buffer is empty), then wakes the owning worker to flush the
+//! * **Delivery** — the scan thread encodes every frame of a pass straight
+//!   into the connection's shared [`OutBuf`] ([`ConnShared::cork`]) and
+//!   writes each touched connection once when the pass ends
+//!   ([`ConnShared::flush`]), then wakes the owning worker to flush any
 //!   remainder.
 //! * **Shutdown** — every worker holds a [`Waker`]; `shutdown()` flips
 //!   `running` and wakes them all. No loopback self-connect needed.
 
 use parking_lot::Mutex;
 use poem_core::NodeId;
+use poem_obs::Counter;
+use poem_proto::{encode_frame_into, ServerMsg};
 use std::collections::BTreeSet;
 use std::io::{self, Write};
 use std::net::TcpStream;
@@ -94,11 +97,22 @@ impl OutBuf {
     }
 }
 
-/// Outcome of an [`ConnShared::enqueue_frame`] attempt.
+/// Corked bytes past which [`ConnShared::cork`] writes the connection
+/// without waiting for the end of the pass. Large enough that a pass's
+/// frames for one connection usually leave in one `write(2)`, small enough
+/// that a long overload pass starts putting bytes on the wire early and
+/// never parks more than this per connection on top of what the socket
+/// refused. Not configurable: nothing in the workspace wants another
+/// value, and `write_buffer_cap` already bounds what a consumer may hold.
+const CORK_BYTES: usize = 64 * 1024;
+
+/// Outcome of a [`ConnShared::cork`] attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Enqueue {
-    /// The frame left through the socket (possibly partially buffered).
-    Sent,
+    /// The frame is in the output buffer (or already on the wire).
+    /// `first` is set when the buffer was empty before it: the caller owes
+    /// the connection a [`ConnShared::flush`].
+    Queued { first: bool },
     /// The consumer is stalled: pending bytes made no progress for longer
     /// than the write timeout. Caller evicts.
     Stalled,
@@ -106,6 +120,8 @@ pub(crate) enum Enqueue {
     Overflow,
     /// The connection is already closed.
     Closed,
+    /// The message does not fit a frame; nothing was queued.
+    Unencodable,
 }
 
 /// The cross-thread half of one connection. The owning worker keeps the
@@ -138,10 +154,13 @@ pub(crate) struct ConnShared {
     /// timeout compares against this, so a pure listener that only
     /// *receives* deliveries still counts as alive.
     activity_ms: AtomicU64,
+    /// Bytes this connection put on the wire
+    /// (`poem_reactor_write_bytes_total`, shared by every connection).
+    written: Arc<Counter>,
 }
 
 impl ConnShared {
-    pub fn new(id: u64, stream: TcpStream, worker: usize) -> Self {
+    pub fn new(id: u64, stream: TcpStream, worker: usize, written: Arc<Counter>) -> Self {
         ConnShared {
             id,
             stream,
@@ -152,11 +171,12 @@ impl ConnShared {
             worker,
             born: Instant::now(),
             activity_ms: AtomicU64::new(0),
+            written,
         }
     }
 
-    /// Records byte movement now (read progress, write progress, or a
-    /// direct delivery write) for the idle-timeout clock.
+    /// Records byte movement now (read or write progress) for the
+    /// idle-timeout clock.
     pub fn touch(&self) {
         self.activity_ms.store(self.born.elapsed().as_millis() as u64, Ordering::Relaxed);
     }
@@ -167,58 +187,58 @@ impl ConnShared {
         self.born.elapsed().saturating_sub(last)
     }
 
-    /// Appends one encoded frame, writing through the socket immediately
-    /// when nothing is queued ahead of it. Never blocks: the socket is
-    /// non-blocking and leftovers are buffered up to `cap` bytes.
-    pub fn enqueue_frame(
-        &self,
-        frame: &[u8],
-        cap: usize,
-        write_timeout: Option<Duration>,
-    ) -> Enqueue {
+    /// Encodes `msg` as one frame at the end of the output buffer without
+    /// touching the socket, unless the corked bytes pass [`CORK_BYTES`] or
+    /// `cap`, in which case it writes what the socket takes right away.
+    /// Never blocks. Everything corked goes out with the next
+    /// [`flush`](Self::flush), whichever thread calls it.
+    pub fn cork(&self, msg: &ServerMsg, cap: usize, write_timeout: Option<Duration>) -> Enqueue {
         if self.closed.load(Ordering::Acquire) {
             return Enqueue::Closed;
         }
         let mut out = self.out.lock();
-        if out.pending() == 0 {
-            // Fast path: the common case is an idle socket that takes the
-            // whole frame in one write.
-            let mut offset = 0;
-            loop {
-                match (&self.stream).write(&frame[offset..]) {
-                    Ok(0) => return self.close_locked(),
-                    Ok(n) => {
-                        offset += n;
-                        if offset == frame.len() {
-                            return Enqueue::Sent;
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => return self.close_locked(),
-                }
-            }
-            out.buf.extend_from_slice(&frame[offset..]);
-            out.stalled_since = Some(Instant::now());
-            return Enqueue::Sent;
-        }
         if let (Some(limit), Some(since)) = (write_timeout, out.stalled_since) {
             if since.elapsed() > limit {
                 return Enqueue::Stalled;
             }
         }
-        if out.pending() + frame.len() > cap {
-            return Enqueue::Overflow;
+        let first = out.pending() == 0;
+        let frame_at = out.buf.len();
+        if encode_frame_into(&mut out.buf, msg).is_err() {
+            return Enqueue::Unencodable;
         }
-        out.buf.extend_from_slice(frame);
-        Enqueue::Sent
+        if out.pending() >= CORK_BYTES || out.pending() > cap {
+            if self.write_pending(&mut out).is_err() {
+                return self.close_locked();
+            }
+            // Over the cap with the socket refusing more: the frame is
+            // taken back out, unless part of it already left (a frame
+            // larger than the cap on an otherwise empty buffer).
+            if out.pending() > cap && out.start <= frame_at {
+                out.buf.truncate(frame_at);
+                return Enqueue::Overflow;
+            }
+        }
+        Enqueue::Queued { first }
     }
 
-    /// Flushes as much pending output as the socket takes. Returns
-    /// `Ok(bytes_written)`; `Err` means the consumer stalled past
-    /// `write_timeout` or the socket died, and the caller evicts.
-    pub fn flush(&self, write_timeout: Option<Duration>) -> io::Result<usize> {
-        let mut out = self.out.lock();
+    /// [`cork`](Self::cork) followed by an immediate write, with no stall
+    /// check: how the notices that precede a teardown (`Detached`,
+    /// `Shutdown`) are sent.
+    pub fn post(&self, msg: &ServerMsg, cap: usize) -> Enqueue {
+        let queued = self.cork(msg, cap, None);
+        if matches!(queued, Enqueue::Queued { .. }) && self.flush(None).is_err() {
+            self.close();
+            return Enqueue::Closed;
+        }
+        queued
+    }
+
+    /// Writes pending output until the socket refuses more, keeping the
+    /// stall clock: it restarts on progress, starts when bytes are first
+    /// left behind, and stops when the buffer drains (which also performs
+    /// a requested close-after-flush). `Err` means the socket died.
+    fn write_pending(&self, out: &mut OutBuf) -> io::Result<usize> {
         let mut written = 0usize;
         while out.pending() > 0 {
             match (&self.stream).write(&out.buf[out.start..]) {
@@ -226,7 +246,6 @@ impl ConnShared {
                 Ok(n) => {
                     out.start += n;
                     written += n;
-                    out.stalled_since = Some(Instant::now());
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -234,14 +253,27 @@ impl ConnShared {
             }
         }
         out.compact();
+        if written > 0 {
+            self.written.add(written as u64);
+            self.touch();
+        }
         if out.pending() == 0 {
             out.stalled_since = None;
             if out.close_after_flush {
-                drop(out);
                 self.close();
             }
-            return Ok(written);
+        } else if written > 0 || out.stalled_since.is_none() {
+            out.stalled_since = Some(Instant::now());
         }
+        Ok(written)
+    }
+
+    /// Flushes as much pending output as the socket takes. Returns
+    /// `Ok(bytes_written)`; `Err` means the consumer stalled past
+    /// `write_timeout` or the socket died, and the caller evicts.
+    pub fn flush(&self, write_timeout: Option<Duration>) -> io::Result<usize> {
+        let mut out = self.out.lock();
+        let written = self.write_pending(&mut out)?;
         if let (Some(limit), Some(since)) = (write_timeout, out.stalled_since) {
             if written == 0 && since.elapsed() > limit {
                 return Err(io::ErrorKind::TimedOut.into());
@@ -366,29 +398,78 @@ mod tests {
         (a, b)
     }
 
+    fn conn_on(stream: TcpStream) -> ConnShared {
+        stream.set_nonblocking(true).unwrap();
+        ConnShared::new(1, stream, 0, Arc::new(Counter::default()))
+    }
+
+    /// A message whose frame is `n` bytes long.
+    fn msg_of(n: usize) -> ServerMsg {
+        // 4 (length prefix) + 4 (variant) + 8 (string length) + reason.
+        ServerMsg::Refused { reason: "x".repeat(n - 16) }
+    }
+
+    const NO_CAP: usize = 64 * 1024 * 1024;
+
     #[test]
-    fn enqueue_writes_through_an_idle_socket() {
+    fn cork_holds_frames_until_one_flush_writes_them() {
         let (a, mut b) = pair();
-        a.set_nonblocking(true).unwrap();
-        let conn = ConnShared::new(1, a, 0);
-        assert_eq!(conn.enqueue_frame(b"hello", 1024, None), Enqueue::Sent);
+        let conn = conn_on(a);
+        let msgs = [msg_of(100), ServerMsg::Shutdown, msg_of(40)];
+        let mut want = Vec::new();
+        for (i, m) in msgs.iter().enumerate() {
+            assert_eq!(conn.cork(m, NO_CAP, None), Enqueue::Queued { first: i == 0 });
+            encode_frame_into(&mut want, m).unwrap();
+        }
+        assert_eq!(conn.backlog(), want.len(), "nothing leaves before the flush");
+        b.set_nonblocking(true).unwrap();
+        assert_eq!(b.read(&mut [0u8; 1]).unwrap_err().kind(), io::ErrorKind::WouldBlock);
+        b.set_nonblocking(false).unwrap();
+        assert_eq!(conn.flush(None).unwrap(), want.len());
+        assert_eq!(conn.backlog(), 0);
+        assert_eq!(conn.written.get(), want.len() as u64);
+        let mut got = vec![0u8; want.len()];
+        b.read_exact(&mut got).unwrap();
+        assert_eq!(got, want, "frames leave in cork order, byte for byte");
+        // The buffer drained: the next cork is a first again.
+        assert_eq!(conn.cork(&ServerMsg::Shutdown, NO_CAP, None), Enqueue::Queued { first: true });
+    }
+
+    #[test]
+    fn cork_writes_on_its_own_past_the_cork_limit() {
+        let (a, mut b) = pair();
+        let conn = conn_on(a);
+        let frame = 16 * 1024;
+        for _ in 0..3 {
+            conn.cork(&msg_of(frame), NO_CAP, None);
+        }
+        assert_eq!(conn.backlog(), 3 * frame, "under the limit nothing is written");
+        conn.cork(&msg_of(frame), NO_CAP, None);
+        assert_eq!(conn.backlog(), 0, "the fourth frame reaches 64 KiB and the cork writes");
+        let mut got = vec![0u8; 4 * frame];
+        b.read_exact(&mut got).unwrap();
+    }
+
+    #[test]
+    fn post_writes_through_an_idle_socket() {
+        let (a, mut b) = pair();
+        let conn = conn_on(a);
+        assert_eq!(conn.post(&msg_of(21), 1024), Enqueue::Queued { first: true });
         assert_eq!(conn.backlog(), 0, "frame left through the socket directly");
-        let mut buf = [0u8; 5];
+        let mut buf = [0u8; 21];
         b.read_exact(&mut buf).unwrap();
-        assert_eq!(&buf, b"hello");
+        assert_eq!(buf[..4], 17u32.to_le_bytes());
     }
 
     #[test]
     fn full_socket_buffers_then_flushes() {
         let (a, mut b) = pair();
-        a.set_nonblocking(true).unwrap();
-        let conn = ConnShared::new(1, a, 0);
+        let conn = conn_on(a);
         // Stuff the socket until the kernel buffer rejects more: the
-        // remainder lands in the OutBuf.
-        let chunk = vec![0xABu8; 256 * 1024];
-        let cap = 64 * 1024 * 1024;
+        // remainder stays in the OutBuf.
+        let chunk = msg_of(256 * 1024);
         while conn.backlog() == 0 {
-            assert_eq!(conn.enqueue_frame(&chunk, cap, None), Enqueue::Sent);
+            assert!(matches!(conn.post(&chunk, NO_CAP), Enqueue::Queued { .. }));
         }
         let backlog = conn.backlog();
         assert!(backlog > 0);
@@ -407,12 +488,10 @@ mod tests {
     }
 
     #[test]
-    fn stalled_consumer_is_reported_on_enqueue_and_flush() {
+    fn stalled_consumer_is_reported_on_cork_and_flush() {
         let (a, _b) = pair();
-        a.set_nonblocking(true).unwrap();
-        let conn = ConnShared::new(1, a, 0);
-        let chunk = vec![0u8; 256 * 1024];
-        let cap = 64 * 1024 * 1024;
+        let conn = conn_on(a);
+        let chunk = msg_of(256 * 1024);
         let timeout = Some(Duration::from_millis(30));
         // `_b` never reads, but in-flight TCP keeps freeing send-buffer
         // space until the peer's receive buffer fills too — so keep the
@@ -420,7 +499,7 @@ mod tests {
         // progress. That is the stall.
         loop {
             while conn.backlog() == 0 {
-                conn.enqueue_frame(&chunk, cap, None);
+                conn.post(&chunk, NO_CAP);
             }
             std::thread::sleep(Duration::from_millis(60));
             match conn.flush(timeout) {
@@ -431,22 +510,27 @@ mod tests {
                 }
             }
         }
-        // The same stall surfaces on the enqueue side.
-        assert_eq!(conn.enqueue_frame(b"x", cap, timeout), Enqueue::Stalled);
+        // The same stall surfaces on the cork side.
+        assert_eq!(conn.cork(&ServerMsg::Shutdown, NO_CAP, timeout), Enqueue::Stalled);
     }
 
     #[test]
-    fn overflow_is_reported_at_the_cap() {
+    fn overflow_is_reported_at_the_cap_and_only_once_the_socket_is_full() {
         let (a, _b) = pair();
-        a.set_nonblocking(true).unwrap();
-        let conn = ConnShared::new(1, a, 0);
-        let chunk = vec![0u8; 64 * 1024];
-        let cap = 512 * 1024;
+        let conn = conn_on(a);
+        let chunk = msg_of(48 * 1024);
+        // Two frames exceed the cap before any write was tried: the cork
+        // writes first, and a socket with room is no overflow.
+        let cap = 64 * 1024;
+        assert!(matches!(conn.cork(&chunk, cap, None), Enqueue::Queued { .. }));
+        assert!(matches!(conn.cork(&chunk, cap, None), Enqueue::Queued { .. }));
         let mut saw_overflow = false;
         for _ in 0..1000 {
-            match conn.enqueue_frame(&chunk, cap, None) {
-                Enqueue::Sent => {}
+            let before = conn.backlog();
+            match conn.cork(&chunk, cap, None) {
+                Enqueue::Queued { .. } => {}
                 Enqueue::Overflow => {
+                    assert_eq!(conn.backlog(), before, "the refused frame is taken back out");
                     saw_overflow = true;
                     break;
                 }
@@ -460,14 +544,22 @@ mod tests {
     #[test]
     fn close_after_flush_closes_once_drained() {
         let (a, mut b) = pair();
-        a.set_nonblocking(true).unwrap();
-        let conn = ConnShared::new(1, a, 0);
-        conn.enqueue_frame(b"bye", 1024, None);
+        let conn = conn_on(a);
+        conn.post(&ServerMsg::Shutdown, 1024);
         conn.close_after_flush();
         assert!(conn.closed.load(Ordering::Acquire), "empty backlog closes immediately");
-        let mut buf = [0u8; 3];
+        let mut buf = [0u8; 8];
         b.read_exact(&mut buf).unwrap();
-        assert_eq!(&buf, b"bye");
+        assert_eq!(buf[..4], 4u32.to_le_bytes());
+
+        // With frames still corked the close waits for the write.
+        let (a, _b) = pair();
+        let conn = conn_on(a);
+        conn.cork(&ServerMsg::Shutdown, 1024, None);
+        conn.close_after_flush();
+        assert!(!conn.closed.load(Ordering::Acquire));
+        conn.flush(None).unwrap();
+        assert!(conn.closed.load(Ordering::Acquire));
     }
 
     #[test]

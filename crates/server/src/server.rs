@@ -12,8 +12,10 @@
 //!   multiplexed connections carrying many virtual sessions;
 //! * one **scanning** thread "keeps watching the schedule and initiates"
 //!   the send "once the emulation clock meets the time to forward"
-//!   (steps 5–6) — sends never block: frames land in per-connection
-//!   output buffers flushed by the owning worker;
+//!   (steps 5–6) — in passes: everything that came due together is
+//!   encoded into per-connection output buffers, copies of one packet for
+//!   one mux connection sharing a frame, and each connection is written
+//!   once; sends never block, leftovers are flushed by the owning worker;
 //! * one **mobility** thread integrates mobility models in real time;
 //! * recording (step 7) happens through the shared, thread-safe
 //!   [`Recorder`].
@@ -37,9 +39,8 @@ use poem_chaos::{ChaosMetrics, FaultKind, FaultPlan, WireFaultHub};
 use poem_core::clock::Clock;
 use poem_core::scene::{Scene, SceneError, SceneOp};
 use poem_core::sleep::{DutyCycle, GuardBand, SleepPolicy};
-use poem_core::{EmuDuration, EmuPacket, EmuRng, EmuTime, ForwardSchedule, NodeId};
+use poem_core::{EmuDuration, EmuPacket, EmuRng, EmuTime, ForwardSchedule, NodeId, PacketId};
 use poem_obs::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
-use poem_proto::encode_frame;
 use poem_proto::messages::{ClientMsg, ServerMsg, PROTOCOL_VERSION};
 use poem_record::HistogramRow;
 use poem_record::{FaultRecord, MetricsRecord, Recorder, TrafficRecord};
@@ -77,10 +78,11 @@ pub struct ServerConfig {
     /// restores the fixed-floor pre-calibration wait; `Spin` busy-waits
     /// whole gaps.
     pub sleep_policy: SleepPolicy,
-    /// Scan-lag threshold past which the loop degrades gracefully: every
-    /// due delivery is batch-drained per pass (widening the effective
-    /// scan interval) instead of per-entry precision firing, and the
-    /// `poem_scan_overload` gauge is raised until the loop catches up.
+    /// Scan-lag threshold past which a pass counts as degraded: the
+    /// `poem_scan_overload` gauge is raised until the loop catches up,
+    /// `poem_scan_batch_drains_total` ticks, and `Auto` feeds its duty
+    /// cycle. (Every pass fires everything due; the threshold only
+    /// decides what is reported and how `Auto` waits.)
     pub overload_threshold: Duration,
     /// Poll workers in the reactor. Two suffice for the scenarios the
     /// paper sizes (readiness scanning is cheap); raise for many busy
@@ -116,10 +118,11 @@ impl Default for ServerConfig {
 
 /// One attached VMN's routing entry: which connection hosts it and how to
 /// frame deliveries towards it.
+#[derive(Clone)]
 struct ClientEntry {
     conn: Arc<ConnShared>,
-    /// Deliveries travel as `DeliverTo` (mux virtual session) instead of
-    /// `Deliver` (legacy whole-socket session).
+    /// Deliveries travel as `DeliverTo`/`DeliverMany` (mux virtual
+    /// session) instead of `Deliver` (legacy whole-socket session).
     mux: bool,
     /// Deliveries sent to this client
     /// (`poem_client_deliveries_total{node="N"}`).
@@ -170,6 +173,7 @@ struct ServerMetrics {
     clients_connected: Arc<Gauge>,
     disconnects: Arc<Counter>,
     deliveries_sent: Arc<Counter>,
+    delivery_frames: Arc<Counter>,
     drops_disconnected: Arc<Counter>,
     reactor_conns: Arc<Gauge>,
     reactor_wakes: Arc<Counter>,
@@ -196,6 +200,7 @@ impl ServerMetrics {
             clients_connected: registry.gauge("poem_clients_connected"),
             disconnects: registry.counter("poem_client_disconnects_total"),
             deliveries_sent: registry.counter("poem_deliveries_sent_total"),
+            delivery_frames: registry.counter("poem_delivery_frames_total"),
             // Same instrument the pipeline registered — shared handle.
             drops_disconnected: registry.counter("poem_drops_total{reason=\"disconnected\"}"),
             reactor_conns: registry.gauge("poem_reactor_conns"),
@@ -495,15 +500,12 @@ impl ServerHandle {
             return;
         }
         // Queue the goodbye on every live connection (handshake-stage
-        // ones included). The direct-write fast path usually puts the
-        // frame on the wire right here; leftovers flush in the workers'
-        // teardown pass.
-        if let Ok(frame) = encode_frame(&ServerMsg::Shutdown) {
-            let conns: Vec<_> = self.shared.reactor.conns.lock().values().cloned().collect();
-            for conn in conns {
-                let _ = conn.enqueue_frame(&frame, self.shared.write_buffer_cap, None);
-                conn.close_after_flush();
-            }
+        // ones included). An idle socket takes the frame right here;
+        // leftovers flush in the workers' teardown pass.
+        let conns: Vec<_> = self.shared.reactor.conns.lock().values().cloned().collect();
+        for conn in conns {
+            let _ = conn.post(&ServerMsg::Shutdown, self.shared.write_buffer_cap);
+            conn.close_after_flush();
         }
         self.shared.clients.lock().clear();
         self.shared.metrics.clients_connected.set(0);
@@ -626,12 +628,7 @@ fn reactor_worker_loop(shared: Arc<Shared>, idx: usize, listener: Option<TcpList
                 continue;
             }
             match conn.shared.flush(shared.write_timeout) {
-                Ok(0) => {}
-                Ok(n) => {
-                    progress = true;
-                    conn.shared.touch();
-                    shared.metrics.reactor_write_bytes.add(n as u64);
-                }
+                Ok(n) => progress |= n > 0,
                 Err(e) => {
                     if e.kind() == io::ErrorKind::TimedOut {
                         shared.metrics.writebuf_evictions.inc();
@@ -715,7 +712,8 @@ fn register_conn(
     }
     let write_half = stream.try_clone().ok()?;
     let id = shared.reactor.alloc_id();
-    let cs = Arc::new(ConnShared::new(id, write_half, worker));
+    let written = Arc::clone(&shared.metrics.reactor_write_bytes);
+    let cs = Arc::new(ConnShared::new(id, write_half, worker, written));
     shared.reactor.conns.lock().insert(id, Arc::clone(&cs));
     if let Some(limit) = shared.read_timeout {
         wheel.arm(id, limit);
@@ -796,18 +794,15 @@ fn read_pass(
 fn handle_msg(shared: &Shared, conn: &mut Conn, msg: ClientMsg, batch: &mut Vec<EmuPacket>) {
     match (conn.state, msg) {
         (SessionState::Handshake, ClientMsg::Hello { version, node }) => {
-            match admit(shared, conn, version, Some(node)) {
+            let welcome = ServerMsg::Welcome {
+                version: PROTOCOL_VERSION,
+                node,
+                server_time: shared.clock.now(),
+            };
+            match admit(shared, conn, version, node, &welcome) {
                 Ok(()) => {
                     conn.state = SessionState::Legacy(node);
-                    send_conn(
-                        shared,
-                        &conn.shared,
-                        &ServerMsg::Welcome {
-                            version: PROTOCOL_VERSION,
-                            node,
-                            server_time: shared.clock.now(),
-                        },
-                    );
+                    uncork_conn(shared, &conn.shared);
                 }
                 Err(reason) => refuse(shared, conn, ServerMsg::Refused { reason }),
             }
@@ -833,12 +828,9 @@ fn handle_msg(shared: &Shared, conn: &mut Conn, msg: ClientMsg, batch: &mut Vec<
             );
         }
         (SessionState::Mux, ClientMsg::Attach { node }) => {
-            match admit(shared, conn, PROTOCOL_VERSION, Some(node)) {
-                Ok(()) => send_conn(
-                    shared,
-                    &conn.shared,
-                    &ServerMsg::Attached { node, server_time: shared.clock.now() },
-                ),
+            let attached = ServerMsg::Attached { node, server_time: shared.clock.now() };
+            match admit(shared, conn, PROTOCOL_VERSION, node, &attached) {
+                Ok(()) => uncork_conn(shared, &conn.shared),
                 Err(reason) => {
                     send_conn(shared, &conn.shared, &ServerMsg::AttachRefused { node, reason })
                 }
@@ -914,17 +906,22 @@ fn handle_msg(shared: &Shared, conn: &mut Conn, msg: ClientMsg, batch: &mut Vec<
 }
 
 /// Validates an identity claim and, on success, registers the node on
-/// this connection (entry in the client map + the conn's attached set).
-/// Registration happens before the acceptance message goes out, so the
-/// moment the client sees the handshake complete the server already
-/// routes to it.
-fn admit(shared: &Shared, conn: &Conn, version: u16, node: Option<NodeId>) -> Result<(), String> {
+/// this connection (entry in the client map + the conn's attached set) and
+/// queues `accepted`, the acceptance message. The message is queued while
+/// the client map is still locked: the scan thread resolves receivers
+/// under that lock, so a copy fired the instant the node becomes routable
+/// lands behind the acceptance in the output buffer, never ahead of it.
+/// The caller writes the buffer out.
+fn admit(
+    shared: &Shared,
+    conn: &Conn,
+    version: u16,
+    node: NodeId,
+    accepted: &ServerMsg,
+) -> Result<(), String> {
     if version != PROTOCOL_VERSION {
         return Err(format!("protocol v{version} unsupported"));
     }
-    let Some(node) = node else {
-        return Err("no identity claimed".into());
-    };
     if shared.pipeline.lock().scene().node(node).is_none() {
         return Err(format!("{node} is not part of the emulated scene"));
     }
@@ -943,6 +940,7 @@ fn admit(shared: &Shared, conn: &Conn, version: u16, node: Option<NodeId>) -> Re
                 .counter(&format!("poem_client_deliveries_total{{node=\"{}\"}}", node.0)),
         },
     );
+    cork_conn(shared, &conn.shared, accepted);
     drop(clients);
     conn.shared.nodes.lock().insert(node);
     shared.metrics.clients_connected.add(1);
@@ -955,27 +953,52 @@ fn refuse(shared: &Shared, conn: &mut Conn, msg: ServerMsg) {
     conn.shared.close_after_flush();
 }
 
-/// Encodes and enqueues one control/delivery message on a connection,
-/// closing it when the consumer is stalled or its buffer overflows. The
-/// worker-side counterpart of [`deliver`]'s scan-thread sends.
-fn send_conn(shared: &Shared, conn: &ConnShared, msg: &ServerMsg) {
-    let Ok(frame) = encode_frame(msg) else {
-        return;
-    };
-    match conn.enqueue_frame(&frame, shared.write_buffer_cap, shared.write_timeout) {
-        Enqueue::Sent => {
-            conn.touch();
-            shared.metrics.reactor_write_bytes.add(frame.len() as u64);
+/// Queues one message on a connection without touching the socket,
+/// evicting the connection when its consumer is stalled or its buffer
+/// would overflow. `Some(first)` when the message was queued: `first` is
+/// set when nothing was queued ahead of it, so the caller owes the
+/// connection an [`uncork_conn`].
+fn cork_conn(shared: &Shared, conn: &ConnShared, msg: &ServerMsg) -> Option<bool> {
+    match conn.cork(msg, shared.write_buffer_cap, shared.write_timeout) {
+        Enqueue::Queued { first } => Some(first),
+        Enqueue::Stalled | Enqueue::Overflow => {
+            // The consumer stalled past the write timeout or its backlog
+            // hit the cap: evict so it can't absorb buffer memory and
+            // scan-thread time again and again.
+            shared.metrics.writebuf_evictions.inc();
+            conn.close();
+            shared.reactor.wake_owner(conn);
+            None
+        }
+        Enqueue::Closed | Enqueue::Unencodable => None,
+    }
+}
+
+/// Writes out what [`cork_conn`] queued. What the socket does not take is
+/// the owning worker's to finish — the write itself never blocks, so a
+/// wedged client costs the calling thread nothing.
+fn uncork_conn(shared: &Shared, conn: &ConnShared) {
+    match conn.flush(shared.write_timeout) {
+        Ok(_) => {
             if conn.backlog() > 0 {
                 shared.reactor.wake_owner(conn);
             }
         }
-        Enqueue::Stalled | Enqueue::Overflow => {
-            shared.metrics.writebuf_evictions.inc();
+        Err(e) => {
+            if e.kind() == io::ErrorKind::TimedOut {
+                shared.metrics.writebuf_evictions.inc();
+            }
             conn.close();
             shared.reactor.wake_owner(conn);
         }
-        Enqueue::Closed => {}
+    }
+}
+
+/// Queues and writes one control message: the worker-side counterpart of
+/// the scan thread's [`FirePass`].
+fn send_conn(shared: &Shared, conn: &ConnShared, msg: &ServerMsg) {
+    if cork_conn(shared, conn, msg).is_some() {
+        uncork_conn(shared, conn);
     }
 }
 
@@ -1007,67 +1030,60 @@ const MAX_SPIN: EmuDuration = EmuDuration::from_nanos(5_000_000);
 
 /// The scanning thread (§3.2 steps 5–6).
 ///
-/// Firing precision comes from how the gap to the next deadline is waited
-/// out, selected by [`SleepPolicy`]:
+/// Every pass pops all entries due at `now`, in `(due, seq)` order, and
+/// hands them to the one fire path ([`FirePass::fire`]); between passes
+/// the gap to the next deadline is waited out as [`SleepPolicy`] says:
 ///
 /// * **Naive** — one condvar wait floored at 50 µs; the OS wake-up error
 ///   lands directly in the firing lag. Kept as the E16 baseline.
 /// * **Hybrid** — condvar-sleep down to `deadline − guard`, then spin the
 ///   rest; `guard` is recalibrated online by a [`GuardBand`] fed with the
 ///   wake-up error of every timed-out wait, so the spin phase is exactly
-///   as wide as this host's timers are sloppy.
+///   as wide as this host's timers are sloppy. A band wider than the gap
+///   between deadlines leaves only spinning and so no samples to shrink
+///   it again; every such spin ages the band instead
+///   ([`GuardBand::decay`]).
 /// * **Spin** — busy-wait whole gaps (one core pinned), condvar-sleeping
 ///   only while the schedule is empty.
 /// * **Auto** — Hybrid while the loop keeps up; once the overload duty
 ///   cycle over a sliding [`DutyCycle`] window crosses its engage
-///   threshold, every due entry is batch-drained per pass and waits fall
-///   back to coarse Naive sleeps (`poem_auto_batch_mode` = 1) until the
-///   duty cycle decays below the disengage threshold.
+///   threshold, waits fall back to coarse Naive sleeps
+///   (`poem_auto_batch_mode` = 1) until the duty cycle decays below the
+///   disengage threshold.
 ///
-/// Load adaptation: when the head of the schedule has fallen further
-/// behind than the overload threshold, precision is pointless — the loop
-/// batch-drains everything due in one pass (`poem_scan_batch_drains_total`)
-/// and raises `poem_scan_overload` until it catches up, degrading
-/// throughput-first instead of falling behind silently.
+/// Load adaptation is accounting, not a second send path: a pass whose
+/// head has fallen further behind than the overload threshold (or that
+/// runs with `Auto` engaged) counts in `poem_scan_batch_drains_total` and
+/// raises `poem_scan_overload` until the loop catches up.
 fn scan_loop(shared: Arc<Shared>, policy: SleepPolicy, overload_threshold: EmuDuration) {
     let mut guard = GuardBand::standard();
     let mut duty = DutyCycle::standard();
+    let mut pass = FirePass::default();
+    // Whether a coarse (sleeping) wait ran since the last pass fired.
+    let mut slept_since_fire = false;
     let mut schedule = shared.schedule.lock();
     while shared.running.load(Ordering::Acquire) {
         let now = shared.clock.now();
-        if let Some(due) = schedule.next_due() {
-            let lag_overload = due <= now && now.since(due) >= overload_threshold;
-            // In engaged auto mode even on-time heads drain as a batch:
-            // throughput over precision until the window cools off.
-            let auto_batch = policy == SleepPolicy::Auto && duty.engaged() && due <= now;
-            if lag_overload || auto_batch {
-                let batch = schedule.drain_due(now);
-                shared.metrics.schedule_depth.set(schedule.len() as i64);
+        if let Some(head) = schedule.next_due().filter(|due| *due <= now) {
+            let lag_overload = now.since(head) >= overload_threshold;
+            let degraded = lag_overload || (policy == SleepPolicy::Auto && duty.engaged());
+            while let Some((due, d)) = schedule.pop_due(now) {
+                shared.metrics.event_lag_ns.observe(lag_ns(now, due));
+                pass.due.push(d);
+            }
+            shared.metrics.schedule_depth.set(schedule.len() as i64);
+            if degraded {
                 shared.metrics.overload.set(lag_overload as i64);
                 shared.metrics.batch_drains.inc();
                 if policy == SleepPolicy::Auto {
                     let engaged = duty.observe(lag_overload);
                     shared.metrics.auto_batch_mode.set(engaged as i64);
                 }
-                drop(schedule);
-                for (batch_due, d) in batch {
-                    let t = shared.clock.now();
-                    shared
-                        .metrics
-                        .event_lag_ns
-                        .observe(t.since(batch_due).as_nanos().max(0) as u64);
-                    fire(&shared, d, t);
-                }
-                schedule = shared.schedule.lock();
-                continue;
             }
-        }
-        if let Some((due, d)) = schedule.pop_due(now) {
-            shared.metrics.schedule_depth.set(schedule.len() as i64);
-            shared.metrics.event_lag_ns.observe(now.since(due).as_nanos().max(0) as u64);
             // Send outside the schedule lock so receivers keep scheduling.
             drop(schedule);
-            fire(&shared, d, now);
+            pass.fire(&shared, now);
+            slept_since_fire = false;
             schedule = shared.schedule.lock();
             continue;
         }
@@ -1091,16 +1107,20 @@ fn scan_loop(shared: Arc<Shared>, policy: SleepPolicy, overload_threshold: EmuDu
                 timed_wait(&shared, &mut schedule, wait.min(MAX_WAIT), &mut guard);
             }
             (SleepPolicy::Hybrid, Some(due)) => {
-                let gap_ns = due.since(now).as_nanos().max(0) as u64;
+                let gap_ns = lag_ns(due, now);
                 let guard_ns = guard.current_ns();
                 if gap_ns > guard_ns {
                     // Coarse phase: sleep to the guard-band edge.
                     let wait = Duration::from_nanos(gap_ns - guard_ns).min(MAX_WAIT);
                     timed_wait(&shared, &mut schedule, wait, &mut guard);
+                    slept_since_fire = true;
                 } else {
                     // Precision phase: spin out the last guard-band span.
                     drop(schedule);
                     spin_until(&shared, due);
+                    if !slept_since_fire {
+                        guard.decay();
+                    }
                     schedule = shared.schedule.lock();
                 }
             }
@@ -1125,6 +1145,11 @@ fn scan_loop(shared: Arc<Shared>, policy: SleepPolicy, overload_threshold: EmuDu
     }
 }
 
+/// `later − earlier` in nanoseconds, zero when negative.
+fn lag_ns(later: EmuTime, earlier: EmuTime) -> u64 {
+    later.since(earlier).as_nanos().max(0) as u64
+}
+
 /// One condvar wait on the schedule, measuring the wake-up error (how far
 /// past the requested instant the OS actually delivered the timeout) into
 /// the histogram and the guard-band calibrator. Notified (non-timeout)
@@ -1139,7 +1164,7 @@ fn timed_wait(
     let result = shared.schedule_cv.wait_for(schedule, wait);
     if result.timed_out() {
         let target = start + EmuDuration::from_nanos(wait.as_nanos() as i64);
-        let err_ns = shared.clock.now().since(target).as_nanos().max(0) as u64;
+        let err_ns = lag_ns(shared.clock.now(), target);
         shared.metrics.wake_error_ns.observe(err_ns);
         guard.observe(err_ns);
     }
@@ -1165,113 +1190,220 @@ fn spin_until(shared: &Shared, due: EmuTime) {
     }
 }
 
-/// Step 6: the send itself, plus step-7 recording. Transport faults
-/// intercept before the socket: a stalled client's copies are parked (or,
-/// past its buffer, dropped) without blocking the scanning thread. A
-/// stall whose deadline has already passed is released right here, on the
-/// first post-expiry fire — held deliveries flush first, in their
-/// original fire order — so a tardy (or dead) fault-driver `Release` step
-/// can no longer let later packets overtake parked ones.
-fn fire(shared: &Shared, d: Delivery, now: EmuTime) {
-    let flushed = {
-        let mut stalls = shared.stalls.lock();
-        match stalls.get_mut(&d.to) {
-            Some(st) if now < st.until => {
-                match st.capacity {
-                    Some(cap) if st.held.len() >= cap => {
-                        drop(stalls);
-                        // Slow-reader overflow: the copy is lost exactly
-                        // as if the client were gone.
-                        shared.record_disconnected(&d, now);
-                    }
-                    _ => st.held.push(d),
-                }
-                return;
-            }
-            Some(_) => stalls.remove(&d.to).map(|st| st.held),
-            None => None,
-        }
-    };
-    if let Some(held) = flushed {
-        // Whoever removes the entry owns the release bookkeeping; the
-        // driver's own `Release` then finds nothing and does nothing.
-        ChaosMetrics::register(&shared.registry).deactivate();
-        shared.recorder.record_fault(FaultRecord::Transport {
-            at: now,
-            node: d.to,
-            action: "release".into(),
-        });
-        for h in held {
-            deliver(shared, h, now);
-        }
-    }
-    deliver(shared, d, now);
+/// What a transport fault does with a copy that is about to fire.
+enum Gate {
+    /// No fault in force against the receiver.
+    Pass(Delivery),
+    /// Held until the stall ends.
+    Parked,
+    /// Past the slow reader's buffer: lost as if the client were gone.
+    Overflow(Delivery),
+    /// The stall's deadline has passed: the copies it held go out first,
+    /// in their original fire order, then this one.
+    Released(Delivery, Vec<Delivery>),
 }
 
-/// The socket send for one delivery, with deadline accounting: the firing
-/// lag (`sent_at − fire_at`) feeds `poem_scan_lag_ns` and, past the
-/// 100 µs on-time budget, the severity-bucketed `poem_deadline_miss_total`
-/// counters. Deliveries released from a stall count here too — they *are*
-/// late, usually severely; that is what the fault injected.
-fn deliver(shared: &Shared, d: Delivery, now: EmuTime) {
-    shared.metrics.note_lag(now.since(d.fire_at).as_nanos().max(0) as u64);
-    let target = {
-        let clients = shared.clients.lock();
-        clients.get(&d.to).map(|e| (Arc::clone(&e.conn), e.mux, Arc::clone(&e.delivered)))
-    };
-    let Some((conn, mux, delivered)) = target else {
-        shared.record_disconnected(&d, now);
-        return;
-    };
-    let msg = if mux {
-        ServerMsg::DeliverTo { to: d.to, packet: d.packet.clone(), forwarded_at: now }
-    } else {
-        ServerMsg::Deliver { packet: d.packet.clone(), forwarded_at: now }
-    };
-    let Ok(frame) = encode_frame(&msg) else {
-        shared.record_disconnected(&d, now);
-        return;
-    };
-    match conn.enqueue_frame(&frame, shared.write_buffer_cap, shared.write_timeout) {
-        Enqueue::Sent => {
-            conn.touch();
-            shared.metrics.deliveries_sent.inc();
-            shared.metrics.reactor_write_bytes.add(frame.len() as u64);
-            delivered.inc();
-            shared.recorder.record_traffic(TrafficRecord::Forward {
-                id: d.packet.id,
-                to: d.to,
-                at: now,
-            });
-            if conn.backlog() > 0 {
-                // Part of the frame is buffered: the owning worker
-                // finishes it. The enqueue itself never blocked, so a
-                // wedged client costs the scan thread nothing.
-                shared.reactor.wake_owner(&conn);
+/// One receiver's share of the frame being assembled.
+struct FrameCopy {
+    to: NodeId,
+    fire_at: EmuTime,
+    delivered: Arc<Counter>,
+}
+
+/// Whether two deliveries carry clones of one ingested packet: the same
+/// header over the very same payload allocation (an id alone is chosen by
+/// the client and proves nothing).
+fn same_packet(a: &EmuPacket, b: &EmuPacket) -> bool {
+    (a.id, a.src, a.dst, a.channel, a.radio, a.sent_at)
+        == (b.id, b.src, b.dst, b.channel, b.radio, b.sent_at)
+        && a.payload.len() == b.payload.len()
+        && std::ptr::eq(a.payload.as_ptr(), b.payload.as_ptr())
+}
+
+/// The fire path (§3.2 step 6, plus step-7 recording): the scan thread's
+/// state across passes, kept for its allocations.
+///
+/// A pass takes every delivery that came due together. Consecutive copies
+/// of one packet for sessions of one mux connection share a `DeliverMany`
+/// frame; a lone mux copy travels as `DeliverTo`, a legacy session's as
+/// `Deliver`. Frames are encoded straight into the connections' output
+/// buffers and each touched connection is written once when the pass ends
+/// (or sooner, past the reactor's cork limit). Grouping changes the
+/// framing only: transport faults intercept per receiver before it, and
+/// every copy keeps its own `Forward` record (in fire order), deadline
+/// accounting and counter ticks.
+#[derive(Default)]
+struct FirePass {
+    /// Deliveries popped this pass, in `(due, seq)` order.
+    due: Vec<Delivery>,
+    /// `due[i]`'s receiver as the client map had it when the pass began.
+    targets: Vec<Option<ClientEntry>>,
+    /// The frame being assembled: its connection, whether that is a mux
+    /// connection, and the packet.
+    frame: Option<(Arc<ConnShared>, bool, EmuPacket)>,
+    /// The frame's receivers, in fire order.
+    copies: Vec<FrameCopy>,
+    /// The receiver-list allocation each `DeliverMany` borrows.
+    to: Vec<NodeId>,
+    /// Connections owed a write when the pass ends.
+    corked: Vec<Arc<ConnShared>>,
+}
+
+impl FirePass {
+    /// Fires everything in `due`, popped from the schedule at `now`.
+    fn fire(&mut self, shared: &Shared, now: EmuTime) {
+        {
+            let clients = shared.clients.lock();
+            self.targets.extend(self.due.iter().map(|d| clients.get(&d.to).cloned()));
+        }
+        let faults_active = !shared.stalls.lock().is_empty();
+        let mut due = std::mem::take(&mut self.due);
+        let mut targets = std::mem::take(&mut self.targets);
+        for (d, target) in due.drain(..).zip(targets.drain(..)) {
+            let gate = if faults_active { shared.stall_gate(d, now) } else { Gate::Pass(d) };
+            match gate {
+                Gate::Pass(d) => self.route(shared, d, target, now),
+                Gate::Parked => {}
+                Gate::Overflow(d) => {
+                    self.emit(shared);
+                    shared.record_disconnected(d.packet.id, d.to, now);
+                }
+                Gate::Released(d, held) => {
+                    for h in held {
+                        let client = shared.clients.lock().get(&h.to).cloned();
+                        self.route(shared, h, client, now);
+                    }
+                    self.route(shared, d, target, now);
+                }
             }
         }
-        Enqueue::Stalled | Enqueue::Overflow => {
-            // The consumer stalled past the write timeout or its backlog
-            // hit the cap: evict so it can't absorb buffer memory and
-            // scan-thread time again and again.
-            shared.metrics.writebuf_evictions.inc();
-            conn.close();
-            shared.reactor.wake_owner(&conn);
-            shared.record_disconnected(&d, now);
+        self.due = due;
+        self.targets = targets;
+        self.emit(shared);
+        for conn in self.corked.drain(..) {
+            uncork_conn(shared, &conn);
         }
-        Enqueue::Closed => shared.record_disconnected(&d, now),
+    }
+
+    /// Adds one copy to the frame being assembled, emitting that frame
+    /// first when the copy cannot share it. A copy whose receiver is not
+    /// connected becomes a `Disconnected` drop.
+    fn route(&mut self, shared: &Shared, d: Delivery, client: Option<ClientEntry>, now: EmuTime) {
+        let Some(client) = client else {
+            self.emit(shared);
+            shared.metrics.note_lag(lag_ns(now, d.fire_at));
+            shared.record_disconnected(d.packet.id, d.to, now);
+            return;
+        };
+        let shares = client.mux
+            && self.frame.as_ref().is_some_and(|(conn, _, packet)| {
+                Arc::ptr_eq(conn, &client.conn) && same_packet(packet, &d.packet)
+            });
+        if !shares {
+            self.emit(shared);
+            self.frame = Some((client.conn, client.mux, d.packet));
+        }
+        self.copies.push(FrameCopy { to: d.to, fire_at: d.fire_at, delivered: client.delivered });
+    }
+
+    /// Queues the frame being assembled on its connection and accounts for
+    /// every copy it carries: the firing lag (`forwarded_at − fire_at`)
+    /// feeds `poem_scan_lag_ns` and, past the 100 µs on-time budget, the
+    /// severity-bucketed `poem_deadline_miss_total` counters — copies
+    /// released from a stall included; they *are* late, that is what the
+    /// fault injected. A frame the connection cannot take costs each of
+    /// its copies a `Disconnected` drop.
+    fn emit(&mut self, shared: &Shared) {
+        let Some((conn, mux, packet)) = self.frame.take() else {
+            return;
+        };
+        let id = packet.id;
+        // Read once per frame, immediately before the frame is appended.
+        let at = shared.clock.now();
+        let msg = match (mux, self.copies.as_slice()) {
+            (false, _) => ServerMsg::Deliver { packet, forwarded_at: at },
+            (true, [only]) => ServerMsg::DeliverTo { to: only.to, packet, forwarded_at: at },
+            (true, many) => {
+                self.to.extend(many.iter().map(|c| c.to));
+                let to = std::mem::take(&mut self.to);
+                ServerMsg::DeliverMany { to, packet, forwarded_at: at }
+            }
+        };
+        let queued = cork_conn(shared, &conn, &msg);
+        if let ServerMsg::DeliverMany { mut to, .. } = msg {
+            to.clear();
+            self.to = to;
+        }
+        for c in &self.copies {
+            shared.metrics.note_lag(lag_ns(at, c.fire_at));
+        }
+        match queued {
+            Some(first) => {
+                shared.metrics.delivery_frames.inc();
+                shared.metrics.deliveries_sent.add(self.copies.len() as u64);
+                for c in &self.copies {
+                    c.delivered.inc();
+                }
+                shared.recorder.record_traffic_many(
+                    self.copies.iter().map(|c| TrafficRecord::Forward { id, to: c.to, at }),
+                );
+                if first {
+                    self.corked.push(conn);
+                }
+            }
+            None => {
+                for c in &self.copies {
+                    shared.record_disconnected(id, c.to, at);
+                }
+            }
+        }
+        self.copies.clear();
     }
 }
 
 impl Shared {
-    fn record_disconnected(&self, d: &Delivery, now: EmuTime) {
+    fn record_disconnected(&self, id: PacketId, to: NodeId, at: EmuTime) {
         self.metrics.drops_disconnected.inc();
         self.recorder.record_traffic(TrafficRecord::Drop {
-            id: d.packet.id,
-            to: d.to,
-            at: now,
+            id,
+            to,
+            at,
             reason: poem_record::DropReason::Disconnected,
         });
+    }
+
+    /// Applies the transport fault in force against `d`'s receiver, if
+    /// any: a stalled client's copies are parked (or, past its buffer,
+    /// dropped) without blocking the scanning thread. A stall whose
+    /// deadline has already passed is released right here, on the first
+    /// post-expiry fire, so a tardy (or dead) fault-driver `Release` step
+    /// can no longer let later packets overtake parked ones.
+    fn stall_gate(&self, d: Delivery, now: EmuTime) -> Gate {
+        let held = {
+            let mut stalls = self.stalls.lock();
+            match stalls.get_mut(&d.to) {
+                None => return Gate::Pass(d),
+                Some(st) if now < st.until => {
+                    return match st.capacity {
+                        Some(cap) if st.held.len() >= cap => Gate::Overflow(d),
+                        _ => {
+                            st.held.push(d);
+                            Gate::Parked
+                        }
+                    };
+                }
+                Some(_) => stalls.remove(&d.to).map(|st| st.held).unwrap_or_default(),
+            }
+        };
+        // Whoever removes the entry owns the release bookkeeping; the
+        // driver's own `Release` then finds nothing and does nothing.
+        ChaosMetrics::register(&self.registry).deactivate();
+        self.recorder.record_fault(FaultRecord::Transport {
+            at: now,
+            node: d.to,
+            action: "release".into(),
+        });
+        Gate::Released(d, held)
     }
 
     /// Sleeps for `d` or until shutdown wakes the periodic threads,
@@ -1299,10 +1431,8 @@ impl Shared {
         self.metrics.disconnects.inc();
         if entry.mux {
             entry.conn.nodes.lock().remove(&node);
-            if let Ok(frame) = encode_frame(&ServerMsg::Detached { node, reason: "evicted".into() })
-            {
-                let _ = entry.conn.enqueue_frame(&frame, self.write_buffer_cap, None);
-            }
+            let notice = ServerMsg::Detached { node, reason: "evicted".into() };
+            let _ = entry.conn.post(&notice, self.write_buffer_cap);
         } else {
             entry.conn.close();
         }
@@ -1952,8 +2082,15 @@ mod tests {
     #[test]
     fn expired_stall_flushes_held_in_order_before_later_packets() {
         let server = start_server();
-        let c1 = connect(&server, 1);
+        // Node 2 broadcasts to nodes 1 and 3, two sessions of one mux
+        // connection: each broadcast's copies fire as one group.
         let c2 = connect(&server, 2);
+        let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
+        let mux = poem_client::MuxClient::connect_tcp(server.addr(), clock).unwrap();
+        let radios = RadioConfig::single(ChannelId(1), 100.0);
+        let sessions =
+            mux.attach_many(&[(NodeId(1), radios.clone()), (NodeId(3), radios)]).unwrap();
+        let (s1, s3) = (&sessions[0], &sessions[1]);
         // Install the transport stall directly, with no fault driver: its
         // Release leg will never run, which is exactly the regression —
         // the held copies used to stay parked forever and later packets
@@ -1963,36 +2100,47 @@ mod tests {
             .shared
             .stalls
             .lock()
-            .insert(NodeId(2), StallEntry { until, capacity: None, held: Vec::new() });
-        for payload in [&b"one"[..], b"two", b"three"] {
-            c1.send(ChannelId(1), Destination::Unicast(NodeId(2)), Bytes::copy_from_slice(payload))
+            .insert(NodeId(3), StallEntry { until, capacity: None, held: Vec::new() });
+        let broadcast = |payload: &'static [u8]| {
+            c2.send(ChannelId(1), Destination::Broadcast, Bytes::from_static(payload))
                 .unwrap()
                 .unwrap();
+        };
+        let heard = |s: &poem_client::MuxSession, n: usize| -> Vec<Bytes> {
+            (0..n).map(|_| s.recv_timeout(Duration::from_secs(5)).unwrap().0.payload).collect()
+        };
+        for payload in [&b"one"[..], b"two", b"three"] {
+            broadcast(payload);
             // Distinct fire_at stamps, so order through the park path is
             // meaningful.
             std::thread::sleep(Duration::from_millis(20));
         }
-        assert!(c2.recv_timeout(Duration::from_millis(100)).is_err(), "stall leaked a delivery");
+        // The stall takes node 3's copy out of each group; its sibling's
+        // goes out on time.
+        assert_eq!(heard(s1, 3), [&b"one"[..], b"two", b"three"].map(Bytes::from_static));
+        assert!(s3.recv_timeout(Duration::from_millis(100)).is_err(), "stall leaked a delivery");
         // Let the stall expire, then send one more packet: it must flush
         // the parked copies ahead of itself instead of overtaking them.
         std::thread::sleep(Duration::from_millis(300));
-        c1.send(ChannelId(1), Destination::Unicast(NodeId(2)), Bytes::from_static(b"four"))
-            .unwrap()
-            .unwrap();
-        let mut got = Vec::new();
-        for _ in 0..4 {
-            let (pkt, _) = c2.recv_timeout(Duration::from_secs(5)).unwrap();
-            got.push(pkt.payload.clone());
-        }
-        let want = [&b"one"[..], b"two", b"three", b"four"].map(Bytes::from_static);
-        assert_eq!(got, want);
+        broadcast(b"four");
+        assert_eq!(heard(s3, 4), [&b"one"[..], b"two", b"three", b"four"].map(Bytes::from_static));
+        assert_eq!(heard(s1, 1), [Bytes::from_static(b"four")]);
         assert!(server.shared.stalls.lock().is_empty(), "expired entry must be dropped");
+        // Every copy has its own Forward record, parked or not.
+        let forwards = |to: u32| {
+            let traffic = server.recorder().traffic();
+            traffic
+                .iter()
+                .filter(|r| matches!(r, TrafficRecord::Forward { to: t, .. } if *t == NodeId(to)))
+                .count()
+        };
+        assert_eq!((forwards(1), forwards(3)), (4, 4));
         // The inline release is recorded like a driver-run one.
         let faults = server.recorder().faults();
         assert!(
             faults.iter().any(|f| matches!(
                 f,
-                FaultRecord::Transport { node: NodeId(2), action, .. } if action == "release"
+                FaultRecord::Transport { node: NodeId(3), action, .. } if action == "release"
             )),
             "{faults:?}"
         );
@@ -2006,7 +2154,8 @@ mod tests {
         // And the idle condvar timeouts along the way calibrated the
         // wake-up-error histogram.
         assert!(snap.histogram("poem_wake_error_ns").map(|h| h.count).unwrap_or(0) >= 1);
-        drop((c1, c2));
+        drop((c2, sessions));
+        mux.close().unwrap();
         server.shutdown();
     }
 

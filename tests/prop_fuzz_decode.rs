@@ -41,6 +41,39 @@ proptest! {
     }
 
     #[test]
+    fn corrupted_deliver_many_never_panics(
+        receivers in prop::collection::vec(any::<u32>(), 0..12),
+        payload in prop::collection::vec(any::<u8>(), 0..64),
+        flip_at in any::<usize>(),
+        flip_to in any::<u8>(),
+        cut in any::<usize>(),
+    ) {
+        use poem_core::{ChannelId, EmuTime, NodeId, PacketId, RadioId};
+        let msg = ServerMsg::DeliverMany {
+            to: receivers.into_iter().map(NodeId).collect(),
+            packet: EmuPacket::new(
+                PacketId(1),
+                NodeId(1),
+                poem_core::packet::Destination::Broadcast,
+                ChannelId(1),
+                RadioId(0),
+                EmuTime::from_millis(1),
+                payload,
+            ),
+            forwarded_at: EmuTime::from_millis(2),
+        };
+        let mut bytes = poem_proto::to_bytes(&msg).unwrap();
+        prop_assert_eq!(from_bytes::<ServerMsg>(&bytes), Ok(msg));
+        // One flipped byte anywhere (the receiver count included), then a
+        // truncation: whatever comes out, it is a value or an error.
+        let idx = flip_at % bytes.len();
+        bytes[idx] = flip_to;
+        let _ = from_bytes::<ServerMsg>(&bytes);
+        bytes.truncate(cut % (bytes.len() + 1));
+        let _ = from_bytes::<ServerMsg>(&bytes);
+    }
+
+    #[test]
     fn valid_prefix_with_flipped_byte_never_panics(
         seed_node in any::<u32>(),
         flip_at in 0usize..64,
