@@ -20,13 +20,13 @@ use crate::error::ClusterError;
 use poem_core::packet::Destination;
 use poem_core::partition::{Membership, TilePartition};
 use poem_core::scene::{Scene, SceneOp};
-use poem_core::{EmuPacket, EmuTime, NodeId, PacketId, Point};
+use poem_core::{EmuPacket, EmuTime, NodeId, Point};
 use poem_obs::{Counter, Gauge, Registry};
 use poem_proto::{
     ClusterMsg, FrameDecoder, MsgWriter, TargetDecision, WireDecision, PROTOCOL_VERSION,
 };
 use poem_record::{DropReason, Recorder, TrafficRecord};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::Read;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -79,6 +79,13 @@ impl Default for ClusterConfig {
     }
 }
 
+/// Cross-shard `Forward` notices wait on the target owner's link for the
+/// next frame bound there; a link nothing else is written to (a shard that
+/// only listens, a scene that never syncs) is written once this many bytes
+/// of them have queued. A bound on memory, not a tuning point: the notices
+/// are accounting only.
+const NOTICE_CORK_BYTES: usize = 64 * 1024;
+
 /// A forwarding decision settled by the cluster: deliver `packet` to
 /// `to` at `fire_at`. The embedding server schedules it exactly as it
 /// would a pipeline [`poem_server`-style] delivery.
@@ -90,6 +97,17 @@ pub struct ClusterDelivery {
     pub fire_at: EmuTime,
     /// The packet (payload shared via `Bytes`).
     pub packet: EmuPacket,
+}
+
+/// What the fleet decided for one batch of packets:
+/// [`Coordinator::decide`]'s result, consumed packet by packet by
+/// [`Coordinator::settle`].
+#[derive(Debug)]
+pub struct Decided {
+    /// The shard that decided each packet; `None` for an unknown sender.
+    owners: Vec<Option<u32>>,
+    /// Per-packet outcomes, taken as each packet settles.
+    targets: Vec<Option<Vec<TargetDecision>>>,
 }
 
 /// One live worker connection.
@@ -180,6 +198,35 @@ fn subject_of(op: &SceneOp) -> Option<NodeId> {
         | SceneOp::SetLinkProfile { id, .. } => Some(*id),
         SceneOp::SetArena { .. } => None,
     }
+}
+
+/// Whether an op can change placement. [`Membership`] is a function of
+/// node ids and positions, so an op that neither adds, removes nor moves
+/// a node (and leaves the arena alone) cannot.
+fn changes_membership(op: &SceneOp) -> bool {
+    match op {
+        SceneOp::AddNode { .. }
+        | SceneOp::RemoveNode { .. }
+        | SceneOp::MoveNode { .. }
+        | SceneOp::SetArena { .. } => true,
+        SceneOp::SetRadioChannel { .. }
+        | SceneOp::SetRadioRange { .. }
+        | SceneOp::SetRadios { .. }
+        | SceneOp::SetMobility { .. }
+        | SceneOp::SetLinkParams { .. }
+        | SceneOp::SetLinkProfile { .. } => false,
+    }
+}
+
+/// Whether a worker whose mirror goes from `old` to `new` gets the op
+/// itself: global ops always, node ops when the subject is mirrored before
+/// and after (a subject entering or leaving travels in the halo diff).
+fn mirrors_subject(
+    subject: Option<NodeId>,
+    old: &BTreeSet<NodeId>,
+    new: &BTreeSet<NodeId>,
+) -> bool {
+    subject.is_none_or(|id| old.contains(&id) && new.contains(&id))
 }
 
 /// The longest radio range an op can introduce, if any — checked against
@@ -343,10 +390,11 @@ impl Coordinator {
         let metrics = ClusterMetrics::new(registry, cfg.workers.max(1));
         let mut coord = Coordinator { cfg, partition, membership, workers, epoch: 0, metrics };
 
-        // Handshake: assignment, mirror sub-scene, arena, first barrier.
+        // Handshake: assignment, mirror sub-scene, arena, first barrier —
+        // queued per worker and written once, by the barrier.
         let shards = coord.cfg.workers.max(1);
         for link in &mut coord.workers {
-            link.writer.send(&ClusterMsg::Assign {
+            link.writer.queue(&ClusterMsg::Assign {
                 version: PROTOCOL_VERSION,
                 shard: link.shard,
                 shards,
@@ -360,13 +408,13 @@ impl Coordinator {
                 .map(add_op)
                 .collect();
             coord.metrics.halo_updates.inc();
-            link.writer.send(&ClusterMsg::HaloUpdate {
+            link.writer.queue(&ClusterMsg::HaloUpdate {
                 at: EmuTime::ZERO,
                 enter,
                 leave: Vec::new(),
             })?;
             if scene.arena().is_some() {
-                link.writer.send(&ClusterMsg::Op {
+                link.writer.queue(&ClusterMsg::Op {
                     at: EmuTime::ZERO,
                     op: SceneOp::SetArena { arena: scene.arena().copied() },
                 })?;
@@ -407,7 +455,8 @@ impl Coordinator {
     /// authoritative scene *with the op already applied*; membership
     /// changes (adds, removes, tile-crossing moves) are shipped as halo
     /// diffs built from it, everything else as the op itself to the
-    /// workers already mirroring the subject.
+    /// workers already mirroring the subject. Each worker gets its frames
+    /// in one write.
     pub fn apply_op(
         &mut self,
         at: EmuTime,
@@ -422,17 +471,16 @@ impl Coordinator {
                 });
             }
         }
-        let new = self.partition.membership(scene_after.nodes().map(|v| (v.id, v.pos)));
+        // Placement is a function of node ids and positions alone: only
+        // ops that can change those pay for recomputing it.
+        let new = changes_membership(op)
+            .then(|| self.partition.membership(scene_after.nodes().map(|v| (v.id, v.pos))));
         let subject = subject_of(op);
         for link in &mut self.workers {
             let old_m = &self.membership.members[&link.shard];
-            let new_m = &new.members[&link.shard];
-            let send_op = match subject {
-                None => true,
-                Some(id) => old_m.contains(&id) && new_m.contains(&id),
-            };
-            if send_op {
-                link.writer.send(&ClusterMsg::Op { at, op: op.clone() })?;
+            let new_m = new.as_ref().map_or(old_m, |n| &n.members[&link.shard]);
+            if mirrors_subject(subject, old_m, new_m) {
+                link.writer.queue(&ClusterMsg::Op { at, op: op.clone() })?;
             }
             let enter: Vec<SceneOp> = new_m
                 .difference(old_m)
@@ -442,11 +490,14 @@ impl Coordinator {
             let leave: Vec<NodeId> = old_m.difference(new_m).copied().collect();
             if !enter.is_empty() || !leave.is_empty() {
                 self.metrics.halo_updates.inc();
-                link.writer.send(&ClusterMsg::HaloUpdate { at, enter, leave })?;
+                link.writer.queue(&ClusterMsg::HaloUpdate { at, enter, leave })?;
             }
+            link.writer.flush()?;
         }
-        self.membership = new;
-        self.update_gauges();
+        if let Some(new) = new {
+            self.membership = new;
+            self.update_gauges();
+        }
         Ok(())
     }
 
@@ -454,6 +505,7 @@ impl Coordinator {
     /// authoritative scene's mobility advance: optionally rebalances
     /// placement, ships position updates and halo diffs, and runs a
     /// barrier so every worker has consumed them before the next batch.
+    /// Everything bound for one worker, barrier included, is one write.
     pub fn sync(&mut self, at: EmuTime, scene: &Scene) -> Result<(), ClusterError> {
         self.rebalance(scene);
         let new = self.partition.membership(scene.nodes().map(|v| (v.id, v.pos)));
@@ -467,14 +519,14 @@ impl Coordinator {
                     continue;
                 }
                 link.writer
-                    .send(&ClusterMsg::Op { at, op: SceneOp::MoveNode { id: *id, pos: v.pos } })?;
+                    .queue(&ClusterMsg::Op { at, op: SceneOp::MoveNode { id: *id, pos: v.pos } })?;
             }
             let enter: Vec<SceneOp> =
                 new_m.difference(old_m).filter_map(|id| scene.node(*id)).map(add_op).collect();
             let leave: Vec<NodeId> = old_m.difference(new_m).copied().collect();
             if !enter.is_empty() || !leave.is_empty() {
                 self.metrics.halo_updates.inc();
-                link.writer.send(&ClusterMsg::HaloUpdate { at, enter, leave })?;
+                link.writer.queue(&ClusterMsg::HaloUpdate { at, enter, leave })?;
             }
         }
         self.membership = new;
@@ -533,14 +585,32 @@ impl Coordinator {
     /// Fans a batch of ingress packets out to their owner shards, waits
     /// for every decision, and settles results **in batch order** with
     /// per-packet records exactly as the single-process pipeline emits
-    /// them: ingress, then per-target drops/deliveries in canonical
-    /// target order, all stamped off the client-stamp time base.
+    /// them: [`Coordinator::decide`], then [`Coordinator::settle`] for
+    /// every packet at the one `received_at`.
     pub fn ingest_batch(
         &mut self,
         pkts: &[EmuPacket],
         received_at: EmuTime,
         recorder: &Recorder,
     ) -> Result<Vec<ClusterDelivery>, ClusterError> {
+        let mut decided = self.decide(pkts, received_at)?;
+        let mut out = Vec::new();
+        for (idx, pkt) in pkts.iter().enumerate() {
+            self.settle(&mut decided, idx, pkt, received_at, recorder, &mut out)?;
+        }
+        Ok(out)
+    }
+
+    /// The wire half of a batch: ships one `Batch` frame to every shard
+    /// owning a sender in `pkts` and collects the replies. Decisions are a
+    /// pure function of `(mirror scene, packet)`, so nothing observable
+    /// happens here — no record, no counter a log depends on — until
+    /// [`Coordinator::settle`] consumes the result.
+    pub fn decide(
+        &mut self,
+        pkts: &[EmuPacket],
+        received_at: EmuTime,
+    ) -> Result<Decided, ClusterError> {
         let mut owners: Vec<Option<u32>> = Vec::with_capacity(pkts.len());
         let mut per_shard: BTreeMap<u32, Vec<(u32, EmuPacket)>> = BTreeMap::new();
         for (idx, pkt) in pkts.iter().enumerate() {
@@ -557,13 +627,13 @@ impl Coordinator {
                 .writer
                 .send(&ClusterMsg::Batch { received_at, pkts: batch })?;
         }
-        let mut decisions: Vec<Option<Vec<TargetDecision>>> = vec![None; pkts.len()];
+        let mut targets: Vec<Option<Vec<TargetDecision>>> = vec![None; pkts.len()];
         for shard in involved {
             let link = &mut self.workers[shard as usize];
             match recv_from(link, self.cfg.poll_tick, self.cfg.poll_limit)? {
                 ClusterMsg::BatchResult { results } => {
                     for pd in results {
-                        let slot = decisions.get_mut(pd.idx as usize).ok_or_else(|| {
+                        let slot = targets.get_mut(pd.idx as usize).ok_or_else(|| {
                             ClusterError::Protocol {
                                 shard,
                                 detail: format!("decision for unknown batch index {}", pd.idx),
@@ -580,67 +650,68 @@ impl Coordinator {
                 }
             }
         }
+        Ok(Decided { owners, targets })
+    }
 
-        // Settle: replicate the pipeline's record order per packet, queue
-        // cross-shard forward notifications for owners of remote targets.
-        let mut out = Vec::new();
-        let mut cross: BTreeMap<u32, Vec<(PacketId, NodeId, EmuTime)>> = BTreeMap::new();
-        for (idx, pkt) in pkts.iter().enumerate() {
-            recorder.record_traffic(TrafficRecord::ingress(pkt, received_at));
-            let base = pkt.sent_at;
-            let Some(decider) = owners[idx] else {
-                // Unknown sender: the pipeline's routing comes up empty,
-                // which for a unicast is a recorded routing failure.
-                if let Destination::Unicast(d) = pkt.dst {
-                    recorder.record_traffic(TrafficRecord::Drop {
-                        id: pkt.id,
-                        to: d,
-                        at: base,
-                        reason: DropReason::NoRoute,
-                    });
-                }
-                continue;
-            };
-            let Some(targets) = decisions[idx].take() else {
-                return Err(ClusterError::Protocol {
-                    shard: decider,
-                    detail: format!("no decision returned for {}", pkt.id),
-                });
-            };
-            for td in targets {
-                match td.decision {
-                    WireDecision::Forward { fire_at } => {
-                        match self.membership.owner.get(&td.to) {
-                            Some(&owner) if owner != decider => {
-                                self.metrics.forward_cross.inc();
-                                cross.entry(owner).or_default().push((pkt.id, td.to, fire_at));
+    /// The record half, for packet `idx` of a decided batch: replicates
+    /// the pipeline's record order (ingress stamped `received_at`, then
+    /// per-target drops in canonical target order, all off the client
+    /// stamp), appends the surviving copies to `out`, and counts local
+    /// versus cross-shard forwards. A cross-shard notice is queued on the
+    /// target owner's link and leaves with the next write to it (see
+    /// `NOTICE_CORK_BYTES`). Callers settle a batch's packets in order,
+    /// each once.
+    pub fn settle(
+        &mut self,
+        decided: &mut Decided,
+        idx: usize,
+        pkt: &EmuPacket,
+        received_at: EmuTime,
+        recorder: &Recorder,
+        out: &mut Vec<ClusterDelivery>,
+    ) -> Result<(), ClusterError> {
+        recorder.record_traffic(TrafficRecord::ingress(pkt, received_at));
+        let base = pkt.sent_at;
+        let drop = |to, reason| TrafficRecord::Drop { id: pkt.id, to, at: base, reason };
+        let Some(decider) = decided.owners.get(idx).copied().flatten() else {
+            // Unknown sender: the pipeline's routing comes up empty,
+            // which for a unicast is a recorded routing failure.
+            if let Destination::Unicast(d) = pkt.dst {
+                recorder.record_traffic(drop(d, DropReason::NoRoute));
+            }
+            return Ok(());
+        };
+        let Some(targets) = decided.targets.get_mut(idx).and_then(Option::take) else {
+            return Err(ClusterError::Protocol {
+                shard: decider,
+                detail: format!("no decision returned for {}", pkt.id),
+            });
+        };
+        for td in targets {
+            match td.decision {
+                WireDecision::Forward { fire_at } => {
+                    match self.membership.owner.get(&td.to) {
+                        Some(&owner) if owner != decider => {
+                            self.metrics.forward_cross.inc();
+                            let writer = &mut self.workers[owner as usize].writer;
+                            writer.queue(&ClusterMsg::Forward {
+                                id: pkt.id,
+                                to: td.to,
+                                fire_at,
+                            })?;
+                            if writer.queued() >= NOTICE_CORK_BYTES {
+                                writer.flush()?;
                             }
-                            _ => self.metrics.forward_local.inc(),
                         }
-                        out.push(ClusterDelivery { to: td.to, fire_at, packet: pkt.clone() });
+                        _ => self.metrics.forward_local.inc(),
                     }
-                    WireDecision::Loss => recorder.record_traffic(TrafficRecord::Drop {
-                        id: pkt.id,
-                        to: td.to,
-                        at: base,
-                        reason: DropReason::Loss,
-                    }),
-                    WireDecision::NoRoute => recorder.record_traffic(TrafficRecord::Drop {
-                        id: pkt.id,
-                        to: td.to,
-                        at: base,
-                        reason: DropReason::NoRoute,
-                    }),
+                    out.push(ClusterDelivery { to: td.to, fire_at, packet: pkt.clone() });
                 }
+                WireDecision::Loss => recorder.record_traffic(drop(td.to, DropReason::Loss)),
+                WireDecision::NoRoute => recorder.record_traffic(drop(td.to, DropReason::NoRoute)),
             }
         }
-        for (shard, fwds) in cross {
-            let link = &mut self.workers[shard as usize];
-            for (id, to, fire_at) in fwds {
-                link.writer.send(&ClusterMsg::Forward { id, to, fire_at })?;
-            }
-        }
-        Ok(out)
+        Ok(())
     }
 
     /// Runs one barrier: every worker acknowledges the epoch after
@@ -858,6 +929,75 @@ mod tests {
             subject_of(&SceneOp::MoveNode { id: NodeId(7), pos: Point::new(1.0, 2.0) }),
             Some(NodeId(7))
         );
+    }
+
+    /// Ops that neither add, remove nor move a node skip the placement
+    /// rebuild in `apply_op`: the rebuild would have returned what is
+    /// already held, and the op still goes to exactly the workers
+    /// mirroring its subject.
+    #[test]
+    fn reconfiguring_ops_leave_membership_alone_and_reach_the_subjects_mirrors() {
+        // Node 0 deep inside shard 0's territory, node 2 deep inside shard
+        // 1's, node 1 owned by shard 0 next to node 3 owned by shard 1 —
+        // so 1 and 3 are mirrored on both shards, 0 and 2 on one each.
+        let mut scene = scene_of(3, 1_000.0, 100.0);
+        scene
+            .apply(
+                EmuTime::ZERO,
+                &SceneOp::AddNode {
+                    id: NodeId(3),
+                    pos: Point::new(1_050.0, 0.0),
+                    radios: RadioConfig::single(ChannelId(1), 100.0),
+                    mobility: MobilityModel::Stationary,
+                    link: LinkParams::ideal(8e6),
+                },
+            )
+            .unwrap();
+        let mut partition = TilePartition::new(2, 100.0);
+        for (node, shard) in [(0, 0), (1, 0), (2, 1), (3, 1)] {
+            partition.pin(NodeId(node), shard);
+        }
+        let placement = |scene: &Scene| partition.membership(scene.nodes().map(|v| (v.id, v.pos)));
+        let before = placement(&scene);
+        let mirrors = |id: u32| -> Vec<u32> {
+            (0..2).filter(|s| before.members[s].contains(&NodeId(id))).collect()
+        };
+        assert_eq!((mirrors(0), mirrors(1), mirrors(2)), (vec![0], vec![0, 1], vec![1]));
+
+        let id = NodeId(0);
+        let skipped = [
+            SceneOp::SetRadioChannel { id, radio: poem_core::RadioId(0), channel: ChannelId(2) },
+            SceneOp::SetRadioRange { id, radio: poem_core::RadioId(0), range: 80.0 },
+            SceneOp::SetRadios { id, radios: RadioConfig::single(ChannelId(3), 90.0) },
+            SceneOp::SetMobility {
+                id,
+                model: MobilityModel::Linear { direction_deg: 0.0, speed: 1.0 },
+            },
+            SceneOp::SetLinkParams { id, params: LinkParams::table3() },
+            SceneOp::SetLinkProfile { id, profile: Some(poem_core::ProfileId(0)) },
+        ];
+        for op in &skipped {
+            assert!(!changes_membership(op), "{op}");
+            scene.apply(EmuTime::from_secs(1), op).unwrap();
+            assert_eq!(placement(&scene), before, "{op} moved a node between mirrors");
+        }
+        for subject in 0..4u32 {
+            let reached: Vec<u32> = (0..2)
+                .filter(|s| {
+                    let m = &before.members[s];
+                    mirrors_subject(Some(NodeId(subject)), m, m)
+                })
+                .collect();
+            assert_eq!(reached, mirrors(subject), "node {subject}");
+        }
+        // The ops that can change placement keep the full path.
+        for op in [
+            SceneOp::RemoveNode { id },
+            SceneOp::MoveNode { id, pos: Point::new(1.0, 1.0) },
+            SceneOp::SetArena { arena: None },
+        ] {
+            assert!(changes_membership(&op), "{op}");
+        }
     }
 
     #[test]

@@ -34,5 +34,5 @@ pub mod decide;
 pub mod error;
 pub mod worker;
 
-pub use coordinator::{ClusterConfig, ClusterDelivery, Coordinator};
+pub use coordinator::{ClusterConfig, ClusterDelivery, Coordinator, Decided};
 pub use error::ClusterError;

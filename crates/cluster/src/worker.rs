@@ -16,7 +16,7 @@ use poem_core::scene::{Scene, SceneOp};
 use poem_core::NodeId;
 use poem_profiles::{ProfileBook, ProfileLibrary};
 use poem_proto::{ClusterMsg, MsgReader, MsgWriter, PacketDecisions, PROTOCOL_VERSION};
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 
 /// Mutable worker state across the message loop.
@@ -61,7 +61,8 @@ fn is_disconnect(e: &std::io::Error) -> bool {
 pub fn run(addr: &str) -> Result<(), ClusterError> {
     let stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;
-    let reader = MsgReader::new(stream.try_clone()?);
+    // The coordinator writes a sync's frames in one piece; read them so.
+    let reader = MsgReader::new(BufReader::new(stream.try_clone()?));
     let writer = MsgWriter::new(stream);
     serve(reader, writer)
 }
@@ -138,7 +139,7 @@ pub fn serve<R: Read, W: Write>(
                 st.forwards_in += 1;
             }
             ClusterMsg::Barrier { epoch } => {
-                writer.send(&ClusterMsg::Metrics {
+                writer.queue(&ClusterMsg::Metrics {
                     shard: st.shard,
                     decided: st.decided,
                     forwards_in: st.forwards_in,

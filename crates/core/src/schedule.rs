@@ -67,6 +67,24 @@ impl<T> ForwardSchedule<T> {
         self.heap.push(Reverse(Slot { due, seq, item }));
     }
 
+    /// Sets aside `n` consecutive insertion sequence numbers and returns
+    /// the first. An entry listed later through
+    /// [`ForwardSchedule::schedule_reserved`] with one of them pops, among
+    /// equal due times, exactly where a [`ForwardSchedule::schedule`] call
+    /// made now would have — ahead of everything scheduled in between.
+    /// Unused numbers leave harmless gaps: only relative order matters.
+    pub fn reserve(&mut self, n: u64) -> u64 {
+        let first = self.next_seq;
+        self.next_seq += n;
+        first
+    }
+
+    /// Lists `item` at `due` under a sequence number taken from an earlier
+    /// [`ForwardSchedule::reserve`]; the caller uses each number once.
+    pub fn schedule_reserved(&mut self, due: EmuTime, seq: u64, item: T) {
+        self.heap.push(Reverse(Slot { due, seq, item }));
+    }
+
     /// The due time of the earliest entry, if any — what the scanning
     /// thread sleeps until in real-time mode.
     pub fn next_due(&self) -> Option<EmuTime> {
@@ -132,6 +150,25 @@ mod tests {
         for i in 0..100 {
             assert_eq!(s.pop_next().unwrap().1, i);
         }
+    }
+
+    #[test]
+    fn reserved_slots_pop_ahead_of_later_entries_at_equal_due() {
+        let mut s = ForwardSchedule::new();
+        let t = EmuTime::from_millis(5);
+        s.schedule(t, "before");
+        let seq = s.reserve(3);
+        s.schedule(t, "after-1");
+        s.schedule(EmuTime::from_millis(4), "earlier-due");
+        s.schedule(t, "after-2");
+        // Filled in late, out of order, one number left unused.
+        s.schedule_reserved(t, seq + 1, "reserved-b");
+        s.schedule_reserved(t, seq, "reserved-a");
+        let order: Vec<_> = std::iter::from_fn(|| s.pop_next()).map(|(_, i)| i).collect();
+        assert_eq!(
+            order,
+            ["earlier-due", "before", "reserved-a", "reserved-b", "after-1", "after-2"]
+        );
     }
 
     #[test]

@@ -117,6 +117,17 @@ pub enum LinkProfile {
 }
 
 impl LinkProfile {
+    /// The smallest propagation delay any of the profile's rows or states
+    /// can report — a lower bound on how soon after its stamp a packet
+    /// decided under this profile can be forwarded.
+    fn min_delay(&self) -> EmuDuration {
+        let min = match self {
+            LinkProfile::Trace(tr) => tr.rows.iter().map(|r| r.link.delay).min(),
+            LinkProfile::Markov(mk) => mk.states.iter().map(|s| s.link.delay).min(),
+        };
+        min.unwrap_or(EmuDuration::ZERO)
+    }
+
     /// The backend's name as it appears in profile files.
     pub fn kind(&self) -> &'static str {
         match self {
@@ -232,12 +243,22 @@ pub struct ProfileBook {
     library: ProfileLibrary,
     seed: u64,
     chains: BTreeMap<(u32, u32, u32), RegimeChain>,
+    /// `LinkProfile::min_delay` per profile, in id order.
+    floors: Vec<EmuDuration>,
 }
 
 impl ProfileBook {
     /// A book over `library`, with regime draws forked from `seed`.
     pub fn new(library: ProfileLibrary, seed: u64) -> Self {
-        ProfileBook { library, seed, chains: BTreeMap::new() }
+        let floors = library.entries.iter().map(|(_, p)| p.min_delay()).collect();
+        ProfileBook { library, seed, chains: BTreeMap::new(), floors }
+    }
+
+    /// The smallest delay any snapshot of profile `pid` can carry — the
+    /// least of its rows' or states' delays, computed once; `None` for an
+    /// id the library does not know.
+    pub fn delay_floor(&self, pid: ProfileId) -> Option<EmuDuration> {
+        self.floors.get(pid.index() as usize).copied()
     }
 
     /// The underlying library.
@@ -423,6 +444,26 @@ mod tests {
             chain_seed(1, ProfileId(0), NodeId(1), NodeId(2)),
             chain_seed(1, ProfileId(1), NodeId(1), NodeId(2))
         );
+    }
+
+    #[test]
+    fn delay_floor_is_the_smallest_row_or_state_delay() {
+        let mut lib = ProfileLibrary::new();
+        lib.insert("m", LinkProfile::Markov(two_state_markov(50)));
+        lib.insert(
+            "t",
+            LinkProfile::Trace(TraceProfile {
+                rows: vec![
+                    TraceRow { at: EmuDuration::ZERO, link: snap(0.0, 8e6, 9) },
+                    TraceRow { at: EmuDuration::from_secs(5), link: snap(0.5, 1e6, 3) },
+                ],
+                period: None,
+            }),
+        );
+        let book = ProfileBook::new(lib, 1);
+        assert_eq!(book.delay_floor(ProfileId(0)), Some(EmuDuration::from_millis(1)));
+        assert_eq!(book.delay_floor(ProfileId(1)), Some(EmuDuration::from_millis(3)));
+        assert_eq!(book.delay_floor(ProfileId(2)), None);
     }
 
     #[test]

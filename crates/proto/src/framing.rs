@@ -54,24 +54,48 @@ pub fn encode_frame_into<T: Serialize>(out: &mut Vec<u8>, msg: &T) -> io::Result
 #[derive(Debug)]
 pub struct MsgWriter<W: Write> {
     w: W,
-    /// The frame being sent; kept for its allocation.
-    frame: Vec<u8>,
+    /// Encoded frames not yet handed to the sink; kept for its allocation.
+    frames: Vec<u8>,
 }
 
 impl<W: Write> MsgWriter<W> {
     /// Wraps a sink.
     pub fn new(w: W) -> Self {
-        MsgWriter { w, frame: Vec::new() }
+        MsgWriter { w, frames: Vec::new() }
     }
 
-    /// Encodes one message and hands the whole frame to the sink in a
-    /// single `write_all` — on an unbuffered `TCP_NODELAY` socket that is
-    /// one syscall and one segment per message — then flushes the sink.
-    pub fn send<T: Serialize>(&mut self, msg: &T) -> io::Result<()> {
-        self.frame.clear();
-        encode_frame_into(&mut self.frame, msg)?;
-        self.w.write_all(&self.frame)?;
+    /// Encodes one message behind whatever is already queued, without
+    /// touching the sink. A message that fails to encode leaves the queue
+    /// as it was.
+    pub fn queue<T: Serialize>(&mut self, msg: &T) -> io::Result<()> {
+        encode_frame_into(&mut self.frames, msg)
+    }
+
+    /// Bytes queued and not yet written.
+    pub fn queued(&self) -> usize {
+        self.frames.len()
+    }
+
+    /// Hands every queued frame to the sink in a single `write_all` — on
+    /// an unbuffered `TCP_NODELAY` socket that is one syscall however
+    /// many messages were queued — then flushes the sink. Nothing queued
+    /// is nothing written. The queue is empty afterwards either way: a
+    /// failed write means a broken stream, not bytes to retry.
+    pub fn flush(&mut self) -> io::Result<()> {
+        if self.frames.is_empty() {
+            return Ok(());
+        }
+        let written = self.w.write_all(&self.frames);
+        self.frames.clear();
+        written?;
         self.w.flush()
+    }
+
+    /// Encodes one message and writes it at once (behind anything still
+    /// queued, in the same `write_all`): one message, one write.
+    pub fn send<T: Serialize>(&mut self, msg: &T) -> io::Result<()> {
+        self.queue(msg)?;
+        self.flush()
     }
 
     /// Consumes the writer, returning the sink.
@@ -241,6 +265,82 @@ mod tests {
             w.send(m).unwrap();
         }
         assert_eq!(w.into_inner().bytes, want);
+    }
+
+    #[test]
+    fn queued_messages_leave_in_one_write_and_send_is_still_one() {
+        let msgs: Vec<ClientMsg> = (0..50u32).map(|i| ClientMsg::hello(NodeId(i))).collect();
+        let mut w = MsgWriter::new(CountingSink { bytes: Vec::new(), writes: 0, max: usize::MAX });
+        let mut want = Vec::new();
+        for m in &msgs {
+            w.queue(m).unwrap();
+            want.extend_from_slice(&encode_frame(m).unwrap());
+        }
+        assert_eq!(w.w.writes, 0, "queueing never touches the sink");
+        assert_eq!(w.queued(), want.len());
+        w.flush().unwrap();
+        assert_eq!(w.queued(), 0);
+        assert_eq!(w.w.writes, 1, "{} queued frames, one write", msgs.len());
+        assert_eq!(w.w.bytes, want);
+        w.flush().unwrap();
+        assert_eq!(w.w.writes, 1, "an empty queue writes nothing");
+
+        // `send` behind queued frames: still one write, order kept.
+        w.queue(&ClientMsg::Bye).unwrap();
+        w.send(&ClientMsg::hello(NodeId(99))).unwrap();
+        assert_eq!(w.w.writes, 2);
+        want.extend_from_slice(&encode_frame(&ClientMsg::Bye).unwrap());
+        want.extend_from_slice(&encode_frame(&ClientMsg::hello(NodeId(99))).unwrap());
+        assert_eq!(w.w.bytes, want);
+
+        // A message that cannot be encoded leaves the queue as it was.
+        w.queue(&ClientMsg::Bye).unwrap();
+        let huge = ServerMsg::Refused { reason: "x".repeat(MAX_FRAME_LEN) };
+        assert!(w.queue(&huge).is_err());
+        w.flush().unwrap();
+        want.extend_from_slice(&encode_frame(&ClientMsg::Bye).unwrap());
+        assert_eq!(w.into_inner().bytes, want);
+    }
+
+    /// A source that counts `read` calls.
+    struct CountingSource {
+        bytes: Cursor<Vec<u8>>,
+        reads: usize,
+    }
+
+    impl Read for CountingSource {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            self.bytes.read(buf)
+        }
+    }
+
+    /// What the shard worker relies on: frames that left in one write are
+    /// consumed through a `BufReader` in a read or two, not two per frame.
+    #[test]
+    fn buffered_reader_consumes_a_flushed_queue_in_at_most_two_reads() {
+        const N: u32 = 200;
+        let mut w = MsgWriter::new(Vec::new());
+        for i in 0..N {
+            w.queue(&ClientMsg::hello(NodeId(i))).unwrap();
+        }
+        w.flush().unwrap();
+        let bytes = w.into_inner();
+        assert!(bytes.len() < 8 * 1024, "fits the default BufReader capacity");
+
+        let source = CountingSource { bytes: Cursor::new(bytes.clone()), reads: 0 };
+        let mut r = MsgReader::new(io::BufReader::new(source));
+        for i in 0..N {
+            assert_eq!(r.recv::<ClientMsg>().unwrap(), ClientMsg::hello(NodeId(i)));
+        }
+        assert!(r.r.get_ref().reads <= 2, "{} reads", r.r.get_ref().reads);
+
+        // Unbuffered, the same stream costs two reads per frame.
+        let mut r = MsgReader::new(CountingSource { bytes: Cursor::new(bytes), reads: 0 });
+        for _ in 0..N {
+            r.recv::<ClientMsg>().unwrap();
+        }
+        assert_eq!(r.r.reads, 2 * N as usize);
     }
 
     #[test]

@@ -23,7 +23,8 @@
 //! **`scene` before any shard lock.** Every path that needs both takes
 //! the scene lock (read or write) first and a shard's mutex second,
 //! matching [`ClusterPipeline::apply_op`]'s scene-first writes. The pair
-//! is declared in poem-lint's `lock_order` rule, so an inversion fails CI.
+//! is declared (`scene < shard_slot`) in `LOCK_ORDER.decl`, which
+//! poem-lint's `lock_graph` rule reads, so an inversion fails CI.
 //!
 //! The cluster path implements the paper's baseline models; the optional
 //! MAC collision domain is inherently a global serialization point and is

@@ -448,25 +448,23 @@ impl Pipeline {
         })
     }
 
-    /// Step 6 bookkeeping: records that a delivery fired at `at`.
-    pub fn record_forward(&self, delivery: &Delivery, at: EmuTime) {
-        self.recorder.record_traffic(TrafficRecord::Forward {
-            id: delivery.packet.id,
-            to: delivery.to,
-            at,
-        });
+    /// Step 6 bookkeeping: the row saying a delivery fired at `at`. The
+    /// frontend appends it to the recorder — at once, or in its place in a
+    /// staged sequence.
+    pub fn forward_row(delivery: &Delivery, at: EmuTime) -> TrafficRecord {
+        TrafficRecord::Forward { id: delivery.packet.id, to: delivery.to, at }
     }
 
-    /// Records that a delivery could not be handed to its client (gone
-    /// between scheduling and firing).
-    pub fn record_undeliverable(&self, delivery: &Delivery, at: EmuTime) {
+    /// Counts a delivery that could not be handed to its client (gone
+    /// between scheduling and firing) and returns the row saying so.
+    pub fn undeliverable_row(&self, delivery: &Delivery, at: EmuTime) -> TrafficRecord {
         self.metrics.drops_disconnected.inc();
-        self.recorder.record_traffic(TrafficRecord::Drop {
+        TrafficRecord::Drop {
             id: delivery.packet.id,
             to: delivery.to,
             at,
             reason: DropReason::Disconnected,
-        });
+        }
     }
 }
 
@@ -534,7 +532,7 @@ mod tests {
             EmuRng::seed(1),
         );
         let out = p.ingest(&pkt(7, Destination::Broadcast, EmuTime::ZERO), EmuTime::ZERO);
-        p.record_forward(&out[0], out[0].fire_at);
+        rec.record_traffic(Pipeline::forward_row(&out[0], out[0].fire_at));
         let traffic = rec.traffic();
         assert_eq!(traffic.len(), 2);
         assert!(matches!(traffic[0], TrafficRecord::Ingress { id: PacketId(7), .. }));
@@ -708,7 +706,7 @@ mod tests {
         );
         let out = p.ingest(&pkt(1, Destination::Broadcast, EmuTime::ZERO), EmuTime::ZERO);
         p.ingest(&pkt(2, Destination::Unicast(NodeId(9)), EmuTime::ZERO), EmuTime::ZERO);
-        p.record_undeliverable(&out[0], EmuTime::from_millis(5));
+        rec.record_traffic(p.undeliverable_row(&out[0], EmuTime::from_millis(5)));
         let snap = p.metrics();
         assert_eq!(snap.counter("poem_ingest_packets_total"), Some(2));
         assert_eq!(snap.counter("poem_ingest_deliveries_total"), Some(1));
@@ -800,7 +798,7 @@ mod tests {
             EmuRng::seed(1),
         );
         let out = p.ingest(&pkt(1, Destination::Broadcast, EmuTime::ZERO), EmuTime::ZERO);
-        p.record_undeliverable(&out[0], EmuTime::from_millis(5));
+        rec.record_traffic(p.undeliverable_row(&out[0], EmuTime::from_millis(5)));
         assert!(matches!(
             rec.traffic()[1],
             TrafficRecord::Drop { reason: DropReason::Disconnected, .. }

@@ -425,7 +425,6 @@ impl ServerHandle {
                     // dedicated mutex serializes: mirror order must match
                     // pipeline apply order, so the RPC cannot move outside
                     // the guards.
-                    // poem-lint: allow(blocking_under_lock): the cluster mutex exists to serialize the coordinator wire protocol
                     if let Err(e) = coord.apply_op(now, &op, pipeline.scene()) {
                         eprintln!(
                             "cluster failure on `{op}`, falling back to local forwarding: {e}"
@@ -1469,7 +1468,6 @@ fn mobility_loop(shared: Arc<Shared>, step: Duration) {
                     // The sync must see the freshly-advanced scene under
                     // the same pipeline guard, and the cluster mutex
                     // serializes the coordinator wire protocol.
-                    // poem-lint: allow(blocking_under_lock): epoch sync must run against the scene state it barriers
                     if let Err(e) = coord.sync(now, pipeline.scene()) {
                         eprintln!("cluster sync failed, falling back to local forwarding: {e}");
                         dead = cluster.take();
@@ -1501,7 +1499,6 @@ fn ingest_batch_best_effort(
         if let Some(coord) = cluster.as_deref_mut() {
             // The batch round-trip is the resource the cluster mutex
             // serializes; concurrent workers must not interleave frames.
-            // poem-lint: allow(blocking_under_lock): the cluster mutex exists to serialize the coordinator wire protocol
             match coord.ingest_batch(pkts, received_at, &shared.recorder) {
                 Ok(settled) => {
                     return settled

@@ -15,12 +15,12 @@ use poem_chaos::{ChaosMetrics, FaultKind, FaultPlan};
 use poem_client::nic::QueueNic;
 use poem_client::ClientApp;
 use poem_cluster::{ClusterConfig, ClusterError, Coordinator};
-use poem_core::linkmodel::LinkParams;
+use poem_core::linkmodel::{DelayModel, LinkParams};
 use poem_core::mobility::MobilityModel;
 use poem_core::radio::RadioConfig;
 use poem_core::scene::{Scene, SceneError, SceneOp};
 use poem_core::{EmuDuration, EmuPacket, EmuRng, EmuTime, ForwardSchedule, NodeId, Point};
-use poem_record::{FaultRecord, Recorder};
+use poem_record::{FaultRecord, Recorder, TrafficRecord};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -220,12 +220,53 @@ impl SimChaos {
     }
 }
 
-/// Distributed-mode state: the worker fleet plus the first failure, if
-/// any. Distributed execution is all-or-nothing — after a cluster error
-/// the harness stops producing traffic outcomes rather than silently
-/// falling back to local decisions (which would fork the record log).
+/// One packet waiting in the lookahead window for its decision.
+struct Pending {
+    /// The harness clock when the packet was ingested: its receipt stamp,
+    /// and the earliest its copies are scheduled for.
+    now: EmuTime,
+    /// The chaos reorder delay drawn for it at ingest.
+    extra_delay: EmuDuration,
+    /// First of the schedule sequence numbers reserved for its copies, so
+    /// they pop among equal due times as if scheduled at ingest.
+    seq: u64,
+}
+
+/// A slot in the traffic log's order while the window is open.
+enum Staged {
+    /// A row already known (a copy of earlier, decided traffic fired).
+    Row(TrafficRecord),
+    /// The next pending packet's ingress and drop rows belong here.
+    Packet,
+}
+
+/// The lookahead window: packets ingested but not yet decided. A
+/// decision is a pure function of `(mirror scene, packet)` and no copy of
+/// a packet can fire before [`SimNet::earliest_fire`], so decisions are
+/// deferred — and shipped one batch per shard — until the event loop is
+/// about to pop an event a pending copy could precede, a scene change is
+/// about to reach the mirrors, or the public call that opened the window
+/// returns. Open ⇔ `pkts` is non-empty.
+#[derive(Default)]
+struct Window {
+    pkts: Vec<EmuPacket>,
+    /// Index-aligned with `pkts`.
+    pending: Vec<Pending>,
+    /// Every traffic row since the window opened, in log order; replayed
+    /// into the append-only recorder at close.
+    staged: Vec<Staged>,
+    /// The earliest instant any pending packet's copy can fire.
+    closes_before: EmuTime,
+}
+
+/// Distributed-mode state: the worker fleet, the open lookahead window,
+/// and the first failure, if any. Distributed execution is all-or-nothing
+/// — after a cluster error the harness stops producing traffic outcomes
+/// rather than silently falling back to local decisions (which would fork
+/// the record log).
 struct ClusterState {
     coord: Coordinator,
+    window: Window,
     error: Option<ClusterError>,
 }
 
@@ -289,7 +330,8 @@ impl SimNet {
             self.pipeline.scene(),
             self.pipeline.metrics_registry(),
         )?;
-        self.cluster = Some(Box::new(ClusterState { coord, error: None }));
+        self.cluster =
+            Some(Box::new(ClusterState { coord, window: Window::default(), error: None }));
         Ok(())
     }
 
@@ -312,8 +354,10 @@ impl SimNet {
         }
     }
 
-    /// Mirrors a successfully applied scene op to the worker fleet.
+    /// Mirrors a successfully applied scene op to the worker fleet, after
+    /// deciding everything ingested against the mirrors as they were.
     fn mirror_op(&mut self, op: &SceneOp) {
+        self.close_window();
         let Some(cl) = self.cluster.as_mut() else { return };
         if cl.error.is_some() {
             return;
@@ -326,6 +370,7 @@ impl SimNet {
     /// Rebalances, ships position updates, and runs a lockstep barrier —
     /// the distributed analogue of one scan tick.
     fn cluster_sync(&mut self) {
+        self.close_window();
         let Some(cl) = self.cluster.as_mut() else { return };
         if cl.error.is_some() {
             return;
@@ -335,23 +380,118 @@ impl SimNet {
         }
     }
 
-    /// Routes one ingress packet through the cluster and maps the settled
-    /// outcomes onto pipeline deliveries.
-    fn cluster_ingest(&mut self, pkt: &EmuPacket) -> Vec<Delivery> {
-        let Some(cl) = self.cluster.as_mut() else { return Vec::new() };
-        if cl.error.is_some() {
-            return Vec::new();
+    /// The earliest a copy of `pkt`, ingested now, can be scheduled for:
+    /// `max(now, sent_at + floor)`, `floor` being the smallest propagation
+    /// delay the sender's link can decide — the fixed part of its
+    /// [`DelayModel`], or a bound profile's smallest row/state delay if
+    /// that is less. Transmission time only adds to it, so leaving it out
+    /// keeps the bound exact integer arithmetic. A link that can decide a
+    /// negative delay bounds nothing beyond `now`.
+    fn earliest_fire(&self, pkt: &EmuPacket) -> EmuTime {
+        let Some(sender) = self.pipeline.scene().node(pkt.src) else { return self.now };
+        let analytic = match sender.link.delay {
+            DelayModel::Constant(d) => d,
+            DelayModel::PerDistance { fixed, per_unit } if !per_unit.is_negative() => fixed,
+            DelayModel::PerDistance { .. } => return self.now,
+        };
+        let profiled = sender
+            .link
+            .profile
+            .and_then(|pid| self.pipeline.profile_book()?.delay_floor(pid))
+            .unwrap_or(analytic);
+        let floor = analytic.min(profiled);
+        if floor.is_negative() {
+            return self.now;
         }
+        self.now.max(pkt.sent_at + floor)
+    }
+
+    /// Distributed ingest: the packet joins the lookahead window (see
+    /// [`Window`]) with the clock and chaos delay of this instant, and
+    /// room for its copies is reserved in the schedule.
+    fn window_push(&mut self, pkt: EmuPacket, extra_delay: EmuDuration) {
+        let earliest = self.earliest_fire(&pkt);
+        // A packet has at most one copy per other node in the scene.
+        let slots = self.pipeline.scene().len().max(1) as u64;
+        let Some(cl) = self.cluster.as_mut() else { return };
+        if cl.error.is_some() {
+            return;
+        }
+        let w = &mut cl.window;
+        w.closes_before = if w.pkts.is_empty() { earliest } else { w.closes_before.min(earliest) };
+        w.pending.push(Pending { now: self.now, extra_delay, seq: self.schedule.reserve(slots) });
+        w.pkts.push(pkt);
+        w.staged.push(Staged::Packet);
+    }
+
+    /// True when a window is open and the next event (due `next_due`)
+    /// could come after a copy of a pending packet.
+    fn window_blocks(&self, next_due: Option<EmuTime>) -> bool {
+        self.cluster.as_ref().is_some_and(|cl| {
+            !cl.window.pkts.is_empty() && next_due.is_none_or(|due| due >= cl.window.closes_before)
+        })
+    }
+
+    /// Closes the lookahead window: one decision batch per involved
+    /// shard, one wait, then the staged rows replayed in order — each
+    /// pending packet settled where it was ingested, with the clock and
+    /// chaos delay captured then, its copies listed under the sequence
+    /// numbers reserved then. If the fleet fails, the rows of traffic
+    /// decided earlier are still written; the pending packets record
+    /// nothing, as a failed batch never has.
+    fn close_window(&mut self) {
+        let Some(cl) = self.cluster.as_mut() else { return };
+        let ClusterState { coord, window, error } = &mut **cl;
+        let Some(first) = window.pending.first() else { return };
         let recorder = self.pipeline.recorder();
-        match cl.coord.ingest_batch(std::slice::from_ref(pkt), self.now, recorder) {
-            Ok(settled) => settled
-                .into_iter()
-                .map(|d| Delivery { to: d.to, fire_at: d.fire_at, packet: d.packet })
-                .collect(),
+        // The frame carries one receipt stamp; workers decide without it.
+        let mut decided = match coord.decide(&window.pkts, first.now) {
+            Ok(batch) => Some(batch),
             Err(e) => {
-                cl.error = Some(e);
-                Vec::new()
+                *error = Some(e);
+                None
             }
+        };
+        let mut packets = window.pkts.iter().zip(&window.pending).enumerate();
+        let mut copies = Vec::new();
+        for slot in window.staged.drain(..) {
+            let (idx, (pkt, p)) = match slot {
+                Staged::Row(row) => {
+                    recorder.record_traffic(row);
+                    continue;
+                }
+                Staged::Packet => match packets.next() {
+                    Some(next) => next,
+                    None => continue,
+                },
+            };
+            let Some(batch) = decided.as_mut() else { continue };
+            if let Err(e) = coord.settle(batch, idx, pkt, p.now, recorder, &mut copies) {
+                *error = Some(e);
+                decided = None;
+                copies.clear();
+            }
+            for (k, d) in copies.drain(..).enumerate() {
+                let at = d.fire_at.max(p.now) + p.extra_delay;
+                let delivery = Delivery { to: d.to, fire_at: d.fire_at, packet: d.packet };
+                self.schedule.schedule_reserved(at, p.seq + k as u64, SimEvent::Deliver(delivery));
+            }
+        }
+        window.pkts.clear();
+        window.pending.clear();
+    }
+
+    /// Appends a traffic row — behind the open window's pending packets,
+    /// if there is one, so the log keeps its order. (Takes the fields it
+    /// needs: `fire_delivery` calls it holding a borrow of `nodes`.)
+    fn record_traffic(
+        cluster: &mut Option<Box<ClusterState>>,
+        recorder: &Recorder,
+        row: TrafficRecord,
+    ) {
+        match cluster.as_mut().map(|cl| &mut cl.window).filter(|w| !w.pkts.is_empty()) {
+            Some(w) => w.staged.push(Staged::Row(row)),
+            None => recorder.record_traffic(row),
         }
     }
 
@@ -414,6 +554,7 @@ impl SimNet {
         }
         self.nodes.insert(id, node);
         self.pump(id);
+        self.close_window();
         if mobility != MobilityModel::Stationary && !self.mobility_armed {
             self.mobility_armed = true;
             self.schedule.schedule(self.now + self.mobility_step, SimEvent::Mobility);
@@ -438,6 +579,7 @@ impl SimNet {
         }
         self.nodes.insert(id, node);
         self.pump(id);
+        self.close_window();
         Ok(())
     }
 
@@ -658,14 +800,13 @@ impl SimNet {
             };
             for pkt in copies {
                 // In-process transport: the server "receives" instantly.
-                // Distributed mode fans the decision out to the shard
-                // owning the sender instead of deciding locally.
-                let deliveries = if self.cluster.is_some() {
-                    self.cluster_ingest(&pkt)
-                } else {
-                    self.pipeline.ingest(&pkt, self.now)
-                };
-                for d in deliveries {
+                // Distributed mode defers the decision to the shard owning
+                // the sender instead of deciding locally.
+                if self.cluster.is_some() {
+                    self.window_push(pkt, extra_delay);
+                    continue;
+                }
+                for d in self.pipeline.ingest(&pkt, self.now) {
                     let at = d.fire_at.max(self.now) + extra_delay;
                     self.schedule.schedule(at, SimEvent::Deliver(d));
                 }
@@ -676,8 +817,13 @@ impl SimNet {
     /// Runs the event loop until virtual time `t_end` (inclusive). Events
     /// scheduled during the run are processed if they fall before the end.
     pub fn run_until(&mut self, t_end: EmuTime) {
-        while let Some(due) = self.schedule.next_due() {
-            if due > t_end {
+        loop {
+            let next_due = self.schedule.next_due();
+            if self.window_blocks(next_due) {
+                self.close_window();
+                continue;
+            }
+            if next_due.is_none_or(|due| due > t_end) {
                 break;
             }
             let Some((at, ev)) = self.schedule.pop_next() else { break };
@@ -722,6 +868,7 @@ impl SimNet {
                 }
             }
         }
+        self.close_window();
         self.now = self.now.max(t_end);
         if self.mobility_armed {
             self.pipeline.advance_mobility(self.now);
@@ -739,20 +886,26 @@ impl SimNet {
                 Intercept::Dropped(d) => {
                     // Slow-reader overflow: the copy is lost exactly as if
                     // the client were gone, keeping drop accounting whole.
-                    self.pipeline.record_undeliverable(&d, self.now);
+                    let row = self.pipeline.undeliverable_row(&d, self.now);
+                    Self::record_traffic(&mut self.cluster, self.pipeline.recorder(), row);
                     return;
                 }
             },
             None => d,
         };
+        let recorder = self.pipeline.recorder();
         match self.nodes.get_mut(&d.to) {
             Some(node) => {
-                self.pipeline.record_forward(&d, self.now);
+                let row = Pipeline::forward_row(&d, self.now);
+                Self::record_traffic(&mut self.cluster, recorder, row);
                 node.nic.set_now(self.now);
                 node.app.on_packet(&mut node.nic, d.packet.clone());
                 self.pump(d.to);
             }
-            None => self.pipeline.record_undeliverable(&d, self.now),
+            None => {
+                let row = self.pipeline.undeliverable_row(&d, self.now);
+                Self::record_traffic(&mut self.cluster, recorder, row);
+            }
         }
     }
 
