@@ -501,11 +501,13 @@ impl Coordinator {
         Ok(())
     }
 
-    /// Synchronization point, called once per scan tick after the
+    /// Synchronization point, called once per mobility step after the
     /// authoritative scene's mobility advance: optionally rebalances
     /// placement, ships position updates and halo diffs, and runs a
     /// barrier so every worker has consumed them before the next batch.
-    /// Everything bound for one worker, barrier included, is one write.
+    /// Everything bound for one worker, barrier included, is one write;
+    /// its `MoveNode`s arrive back to back, which is what lets the worker
+    /// relink them in bulk.
     pub fn sync(&mut self, at: EmuTime, scene: &Scene) -> Result<(), ClusterError> {
         self.rebalance(scene);
         let new = self.partition.membership(scene.nodes().map(|v| (v.id, v.pos)));

@@ -286,7 +286,7 @@ mod tests {
         let mut t = TilePartition::new(4, 80.0);
         // Pin node 0 far from anything shard 3 would own by tile.
         t.pin(NodeId(0), 3);
-        let nodes = vec![
+        let nodes = [
             (NodeId(0), Point::new(5.0, 5.0)),
             (NodeId(1), Point::new(70.0, 5.0)), /* in range */
         ];

@@ -370,9 +370,35 @@ impl Scene {
             v.pos = new_pos;
             moved.push((id, new_pos));
         }
-        for (id, pos) in moved {
-            self.tables.update_position(id, pos);
+        self.tables.update_positions(&moved);
+    }
+
+    /// Applies a run of `MoveNode`s at `at` as one bulk relink — what a
+    /// shard worker does with the position updates of one sync.
+    ///
+    /// Validates each move as [`Scene::apply`] would (a non-finite
+    /// position is a [`SceneError::BadParameter`], an unknown node a
+    /// [`SceneError::UnknownNode`]). On the first invalid move, the moves
+    /// before it are applied and its error is returned — the state and
+    /// the error applying the run one op at a time would leave.
+    pub fn move_nodes(&mut self, at: EmuTime, moves: &[(NodeId, Point)]) -> Result<(), SceneError> {
+        self.mobility_horizon = self.mobility_horizon.max(at);
+        for (k, &(id, pos)) in moves.iter().enumerate() {
+            let vmn = if pos.is_finite() {
+                self.nodes.get_mut(&id).ok_or(SceneError::UnknownNode(id))
+            } else {
+                Err(SceneError::BadParameter("position must be finite"))
+            };
+            match vmn {
+                Ok(v) => v.pos = pos,
+                Err(e) => {
+                    self.tables.update_positions(&moves[..k]);
+                    return Err(e);
+                }
+            }
         }
+        self.tables.update_positions(moves);
+        Ok(())
     }
 
     /// Time up to which mobility has been integrated.
@@ -580,6 +606,41 @@ mod tests {
         .unwrap();
         assert_eq!(s.route(NodeId(1), ChannelId(1), Destination::Broadcast), vec![NodeId(2)]);
         check_against_brute_force(s.tables()).unwrap();
+    }
+
+    #[test]
+    fn move_nodes_fails_where_single_moves_would() {
+        let at = EmuTime::from_secs(3);
+        for run in [
+            [(1, 10.0), (2, f64::NAN), (9, 0.0)],
+            [(1, 10.0), (9, 0.0), (2, f64::NAN)],
+            [(2, 40.0), (1, 20.0), (2, 60.0)],
+        ] {
+            let run: Vec<(NodeId, Point)> =
+                run.iter().map(|&(id, x)| (NodeId(id), Point::new(x, 0.0))).collect();
+            let mut bulk = Scene::new();
+            let mut single = Scene::new();
+            for s in [&mut bulk, &mut single] {
+                add(s, 1, 0.0, 0.0, 1, 100.0);
+                add(s, 2, 150.0, 0.0, 1, 100.0);
+            }
+            let got = bulk.move_nodes(at, &run).err();
+            let want = run
+                .iter()
+                .map(|&(id, pos)| single.apply(at, &SceneOp::MoveNode { id, pos }))
+                .find_map(Result::err);
+            assert_eq!(got, want, "{run:?}");
+            assert_eq!(bulk.mobility_horizon(), single.mobility_horizon());
+            for id in [NodeId(1), NodeId(2)] {
+                assert_eq!(bulk.node(id).unwrap().pos, single.node(id).unwrap().pos, "{run:?}");
+                assert_eq!(
+                    bulk.route(id, ChannelId(1), Destination::Broadcast),
+                    single.route(id, ChannelId(1), Destination::Broadcast),
+                    "{run:?}"
+                );
+            }
+            check_against_brute_force(bulk.tables()).unwrap();
+        }
     }
 
     #[test]

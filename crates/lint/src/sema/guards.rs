@@ -268,11 +268,7 @@ pub fn statement_end(t: &[Token], i: usize, limit: usize) -> usize {
                     return j;
                 }
             }
-            Some(TokenKind::Punct(';')) => {
-                if paren <= 0 && brack <= 0 && brace <= 0 {
-                    return j;
-                }
-            }
+            Some(TokenKind::Punct(';')) if paren <= 0 && brack <= 0 && brace <= 0 => return j,
             _ => {}
         }
     }

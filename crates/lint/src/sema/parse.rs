@@ -412,12 +412,8 @@ fn top_level_comma(t: &[Token], from: usize, to: usize) -> usize {
             Some(TokenKind::Punct('{')) => brace += 1,
             Some(TokenKind::Punct('}')) => brace -= 1,
             Some(TokenKind::Punct('<')) => angle += 1,
-            Some(TokenKind::Punct('>')) => {
-                // `->` is an arrow, not a generic close.
-                if !is_punct(t, i.wrapping_sub(1), '-') {
-                    angle -= 1;
-                }
-            }
+            // `->` is an arrow, not a generic close.
+            Some(TokenKind::Punct('>')) if !is_punct(t, i.wrapping_sub(1), '-') => angle -= 1,
             Some(TokenKind::Punct(',')) if paren == 0 && brack == 0 && brace == 0 && angle <= 0 => {
                 return i;
             }
@@ -435,12 +431,10 @@ fn skip_generics(t: &[Token], open: usize) -> usize {
     for i in open..t.len() {
         match t.get(i).map(|x| &x.kind) {
             Some(TokenKind::Punct('<')) => depth += 1,
-            Some(TokenKind::Punct('>')) => {
-                if !is_punct(t, i.wrapping_sub(1), '-') {
-                    depth -= 1;
-                    if depth == 0 {
-                        return i + 1;
-                    }
+            Some(TokenKind::Punct('>')) if !is_punct(t, i.wrapping_sub(1), '-') => {
+                depth -= 1;
+                if depth == 0 {
+                    return i + 1;
                 }
             }
             Some(TokenKind::Punct(';')) | Some(TokenKind::Punct('{')) => return open,

@@ -368,7 +368,7 @@ impl SimNet {
     }
 
     /// Rebalances, ships position updates, and runs a lockstep barrier —
-    /// the distributed analogue of one scan tick.
+    /// once per mobility step.
     fn cluster_sync(&mut self) {
         self.close_window();
         let Some(cl) = self.cluster.as_mut() else { return };

@@ -60,7 +60,7 @@ impl ClientApp for MixedSender {
             return None;
         }
         self.remaining -= 1;
-        let dst = if self.remaining % 2 == 0 {
+        let dst = if self.remaining.is_multiple_of(2) {
             Destination::Broadcast
         } else {
             Destination::Unicast(self.peer)

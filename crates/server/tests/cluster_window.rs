@@ -77,7 +77,7 @@ impl ClientApp for Echo {
 
     fn on_tick(&mut self, nic: &mut dyn Nic) -> Option<EmuDuration> {
         self.ticks += 1;
-        let dst = if self.ticks % 2 == 0 {
+        let dst = if self.ticks.is_multiple_of(2) {
             Destination::Broadcast
         } else {
             Destination::Unicast(self.peer)

@@ -1,18 +1,24 @@
-//! E15 acceptance: the steady-state per-packet ingest path performs no
-//! heap allocation beyond the delivery vector it returns.
+//! Steady-state hot paths allocate (almost) nothing.
 //!
-//! A counting `GlobalAlloc` wrapper tallies allocations while a warmed-up
-//! [`Pipeline`] ingests a pre-built batch. The budget is one allocation
+//! E15 acceptance: the per-packet ingest path performs no heap allocation
+//! beyond the delivery vector it returns. The budget is one allocation
 //! per ingest (the `Vec<Delivery>` handed back to the caller) plus a small
 //! slack for the recorder's amortized log growth. Routing, the RNG draws,
 //! the per-delivery packet clones (refcounted payload) and the traffic
 //! records themselves must all be allocation-free.
 //!
-//! This file holds exactly one `#[test]`: the counter is process-global,
-//! and a sibling test running concurrently would perturb it.
+//! The bulk relink of a mobility step allocates nothing once its rows,
+//! buckets and scratch buffers have held a step's contents.
+//!
+//! A counting `GlobalAlloc` wrapper tallies the allocations each thread
+//! makes while its counting flag is up; the tally is per thread, so the
+//! tests here may run concurrently.
+
+mod common;
 
 use poem_core::linkmodel::LinkParams;
 use poem_core::mobility::MobilityModel;
+use poem_core::neighbor::{check_against_brute_force, NeighborTables};
 use poem_core::packet::{Destination, HEADER_BYTES};
 use poem_core::radio::RadioConfig;
 use poem_core::scene::{Scene, SceneOp};
@@ -20,20 +26,24 @@ use poem_core::{ChannelId, EmuPacket, EmuRng, EmuTime, NodeId, PacketId, Point, 
 use poem_record::Recorder;
 use poem_server::Pipeline;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 struct CountingAlloc;
 
-static COUNTING: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Whether this thread's allocations are being counted.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    /// This thread's counted allocations.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
-// SAFETY: pure pass-through to the system allocator; the wrapper adds only
-// an atomic counter and never changes layouts or pointers.
+// SAFETY: pass-through to the system allocator plus a thread-local counter
+// that never allocates; layouts and pointers are never changed.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
+        if COUNTING.try_with(Cell::get).unwrap_or(false) {
+            let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
         }
         // SAFETY: same layout contract as our own caller's.
         unsafe { System.alloc(layout) }
@@ -48,6 +58,16 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Runs `f`, returning its result and the allocations it made on this
+/// thread.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    ALLOCS.with(|n| n.set(0));
+    COUNTING.with(|c| c.set(true));
+    let out = f();
+    COUNTING.with(|c| c.set(false));
+    (out, ALLOCS.with(Cell::get))
+}
 
 fn grid_scene(n: u32) -> Scene {
     let mut s = Scene::new();
@@ -101,14 +121,14 @@ fn steady_state_ingest_allocates_only_the_delivery_vector() {
     }
     assert!(warm_deliveries > 0, "warmup produced no deliveries");
 
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
-    let mut deliveries = 0usize;
-    for pkt in &measured {
-        deliveries += p.ingest(pkt, pkt.sent_at).len();
-    }
-    COUNTING.store(false, Ordering::SeqCst);
-    let allocs = ALLOCS.load(Ordering::SeqCst) as usize;
+    let (deliveries, allocs) = counted(|| {
+        let mut deliveries = 0usize;
+        for pkt in &measured {
+            deliveries += p.ingest(pkt, pkt.sent_at).len();
+        }
+        deliveries
+    });
+    let allocs = allocs as usize;
 
     assert!(deliveries > MEASURED, "dense scene should fan out: {deliveries}");
     // One `Vec<Delivery>` per packet, plus slack for the recorder's
@@ -122,4 +142,25 @@ fn steady_state_ingest_allocates_only_the_delivery_vector() {
     // Sanity that the counter works at all: the delivery vectors alone
     // account for one allocation per non-empty ingest.
     assert!(allocs > 0, "counter saw nothing — instrumentation broken?");
+}
+
+#[test]
+fn steady_state_bulk_relink_allocates_nothing() {
+    let mut scene = common::mobile_arena(0xA110C);
+    let mut t = common::tables_of(&scene);
+    let mut rng = EmuRng::seed(3);
+    let before: Vec<(NodeId, Point)> = scene.nodes().map(|v| (v.id, v.pos)).collect();
+    let after = common::step(&mut scene, 1, &mut rng);
+    assert_eq!(after.len(), common::NODES as usize);
+    // Warm-up: the step there and back, so every row, bucket and scratch
+    // buffer has held the measured step's contents once. (A fresh step
+    // can still push a row or bucket past its high-water mark — content
+    // growth the per-node path pays alike, a few times per step here.)
+    t.update_positions(&after);
+    t.update_positions(&before);
+    t.reset_work();
+    let ((), allocs) = counted(|| t.update_positions(&after));
+    assert!(t.work() > 0, "the step swept nothing");
+    assert_eq!(allocs, 0, "a steady-state bulk relink allocated {allocs} times");
+    check_against_brute_force(&t).expect("swept rows match brute force");
 }
