@@ -1,8 +1,6 @@
 //! Offline shim for the subset of `crossbeam` that poem-rs uses:
-//! MPMC channels (`crossbeam::channel`) and scoped threads
-//! (`crossbeam::thread::scope`). Built on `std::sync` + `std::thread`.
+//! MPMC channels (`crossbeam::channel`). Built on `std::sync`.
 
 #![forbid(unsafe_code)]
 
 pub mod channel;
-pub mod thread;

@@ -1,7 +1,7 @@
 //! Offline shim for the subset of `parking_lot` that poem-rs uses.
 //!
 //! The build environment has no access to crates.io, so this crate provides
-//! the same API surface (`Mutex`/`RwLock` without lock poisoning, `Condvar`
+//! the same API surface (`Mutex` without lock poisoning, `Condvar`
 //! whose `wait` takes `&mut MutexGuard`) on top of `std::sync`. Poisoned
 //! locks are recovered transparently: a panic while holding a lock does not
 //! poison unrelated threads, matching parking_lot semantics closely enough
@@ -90,75 +90,6 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     }
 }
 
-/// A reader-writer lock (non-poisoning `read()`/`write()`).
-#[derive(Default)]
-pub struct RwLock<T: ?Sized> {
-    inner: std::sync::RwLock<T>,
-}
-
-pub struct RwLockReadGuard<'a, T: ?Sized> {
-    inner: std::sync::RwLockReadGuard<'a, T>,
-}
-
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    inner: std::sync::RwLockWriteGuard<'a, T>,
-}
-
-impl<T> RwLock<T> {
-    pub const fn new(value: T) -> Self {
-        RwLock { inner: std::sync::RwLock::new(value) }
-    }
-
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        let inner = self.inner.read().unwrap_or_else(|e| e.into_inner());
-        RwLockReadGuard { inner }
-    }
-
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        let inner = self.inner.write().unwrap_or_else(|e| e.into_inner());
-        RwLockWriteGuard { inner }
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        match self.inner.get_mut() {
-            Ok(v) => v,
-            Err(e) => e.into_inner(),
-        }
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.inner.fmt(f)
-    }
-}
-
-impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
 /// Result of a timed [`Condvar`] wait.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WaitTimeoutResult {
@@ -232,18 +163,6 @@ mod tests {
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
         assert_eq!(m.into_inner(), 2);
-    }
-
-    #[test]
-    fn rwlock_readers_and_writer() {
-        let l = RwLock::new(vec![1, 2]);
-        {
-            let a = l.read();
-            let b = l.read();
-            assert_eq!(a.len() + b.len(), 4);
-        }
-        l.write().push(3);
-        assert_eq!(*l.read(), vec![1, 2, 3]);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use poem_core::{
     ChannelId, EmuPacket, EmuRng, EmuTime, ForwardSchedule, NodeId, PacketId, Point, RadioId,
 };
 use poem_record::Recorder;
-use poem_server::{ClusterConfig, ClusterPipeline, Pipeline};
+use poem_server::Pipeline;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Duration;
@@ -107,40 +107,6 @@ fn bench_scene_ops(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_cluster(c: &mut Criterion) {
-    // E11: parallel shard scaling of the batch-ingest path.
-    let mut group = c.benchmark_group("cluster_batch_ingest");
-    let nodes = 400usize;
-    let batch: Vec<EmuPacket> = {
-        let mut rng = EmuRng::seed(3);
-        (0..2_000usize)
-            .map(|i| {
-                EmuPacket::new(
-                    PacketId(i as u64),
-                    NodeId(rng.index(nodes) as u32),
-                    Destination::Broadcast,
-                    ChannelId(0),
-                    RadioId(0),
-                    EmuTime::from_micros(i as u64),
-                    bytes::Bytes::from_static(&[0u8; 972]),
-                )
-            })
-            .collect()
-    };
-    for &shards in &[1usize, 2, 4, 8] {
-        group.throughput(Throughput::Elements(batch.len() as u64));
-        group.bench_with_input(BenchmarkId::from_parameter(shards), &shards, |b, &shards| {
-            let cluster = ClusterPipeline::new(
-                grid_scene(nodes, 1),
-                Arc::new(Recorder::new()),
-                ClusterConfig { shards, seed: 1 },
-            );
-            b.iter(|| black_box(cluster.ingest_batch(&batch, EmuTime::from_secs(1))));
-        });
-    }
-    group.finish();
-}
-
 fn quick() -> Criterion {
     Criterion::default()
         .warm_up_time(Duration::from_millis(400))
@@ -148,5 +114,5 @@ fn quick() -> Criterion {
         .sample_size(30)
 }
 
-criterion_group!(name = benches; config = quick(); targets = bench_ingest, bench_schedule, bench_scene_ops, bench_cluster);
+criterion_group!(name = benches; config = quick(); targets = bench_ingest, bench_schedule, bench_scene_ops);
 criterion_main!(benches);

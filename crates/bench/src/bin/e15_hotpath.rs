@@ -1,6 +1,6 @@
 //! Extension experiment E15: hot-path performance — spatial-grid neighbor
-//! maintenance and the persistent shard worker pool. Emits the
-//! machine-readable `BENCH_hotpath.json` artifact. Run with --release.
+//! maintenance. Emits the machine-readable `BENCH_hotpath.json` artifact.
+//! Run with --release.
 //!
 //! Usage:
 //!   e15_hotpath [--smoke] [--out PATH]   run and write the artifact
@@ -46,18 +46,14 @@ fn main() {
     let cfg = if smoke { hotpath::HotpathConfig::smoke() } else { hotpath::HotpathConfig::full() };
     let mode = if smoke { "smoke" } else { "full" };
     println!(
-        "E15 — hot-path performance ({mode}: {} mobile nodes / {} moves, \
-         {} shards x {} packets)\n",
-        cfg.nodes, cfg.moves, cfg.shards, cfg.packets
+        "E15 — hot-path performance ({mode}: {} mobile nodes / {} moves)\n",
+        cfg.nodes, cfg.moves
     );
     let report = hotpath::run(&cfg);
     println!("{:>28} {:>14}", "metric", "value");
     println!("{:>28} {:>14}", "grid work (dist evals)", report.grid_work);
     println!("{:>28} {:>14}", "scan work (dist evals)", report.scan_work);
     println!("{:>28} {:>14.1}", "work reduction (x)", report.work_reduction);
-    println!("{:>28} {:>14.0}", "pool packets/s", report.pool_pps);
-    println!("{:>28} {:>14.0}", "spawn packets/s", report.spawn_pps);
-    println!("{:>28} {:>14.2}", "pool speedup (x)", report.pool_speedup);
 
     let json = hotpath::render_json(&report);
     if let Err(e) = std::fs::write(&out, &json) {
@@ -66,5 +62,5 @@ fn main() {
     }
     println!("\nwrote {out}");
     println!("The grid bounds each relink to the 3x3 cell neighborhood around the");
-    println!("moved node; the pool removes per-batch thread spawn/join overhead.");
+    println!("moved node.");
 }

@@ -1,6 +1,5 @@
 //! Experiment runners, one per table/figure (DESIGN.md experiment index).
 
-pub mod cluster;
 pub mod cluster_scaleout;
 pub mod energy;
 pub mod fault_sweep;

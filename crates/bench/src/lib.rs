@@ -16,6 +16,6 @@ pub mod experiments;
 pub mod scenes;
 
 pub use experiments::{
-    cluster, cluster_scaleout, energy, fault_sweep, fig10, fig2, fig3, fig5, fig6, hotpath, mac,
-    overhead, rt_fidelity, scenario_matrix, sessions, table2,
+    cluster_scaleout, energy, fault_sweep, fig10, fig2, fig3, fig5, fig6, hotpath, mac, overhead,
+    rt_fidelity, scenario_matrix, sessions, table2,
 };

@@ -95,7 +95,7 @@ pub use mac::{CollisionDomain, MacModel};
 pub use mobility::{FieldSpec, MobilityModel, MobilityState};
 pub use neighbor::{ChannelIndexedTables, NeighborTables, UnifiedTable};
 pub use packet::EmuPacket;
-pub use partition::{Membership, Partitioner, TilePartition};
+pub use partition::{Membership, TilePartition};
 pub use radio::Radio;
 pub use rng::{decide_rng, EmuRng, DECIDE_STREAM};
 pub use scene::{Scene, SceneOp, Vmn};

@@ -1,24 +1,15 @@
-//! Shard partitioning — the one place that decides which shard owns a
-//! node, shared by the in-process [`ClusterPipeline`] and the
-//! multi-process cluster coordinator so the two sharding modes cannot
-//! drift apart.
+//! Shard partitioning — the [`TilePartition`] the multi-process cluster
+//! coordinator uses to decide which shard owns a node.
 //!
-//! Two strategies:
-//!
-//! * [`Partitioner::Modulo`] — `node.0 % shards`, the in-process
-//!   cluster's historical assignment (position-independent, perfectly
-//!   balanced for dense id spaces).
-//! * [`Partitioner::Spatial`] — a [`TilePartition`]: the plane is cut
-//!   into square tiles whose edge is at least the global maximum radio
-//!   range, each tile is owned by one shard, and a node is owned by its
-//!   tile's shard. Because tile edge ≥ range, every possible link's
-//!   endpoints lie within one tile index of each other (the same
-//!   invariant the per-channel spatial grid in
-//!   [`crate::neighbor::ChannelIndexedTables`] relies on), so a shard
-//!   that *mirrors* the 3×3 tile neighborhood around each node it owns
-//!   sees every neighbor any of its senders can reach — the **halo
-//!   invariant**. [`TilePartition::membership`] computes exactly that
-//!   mirror set.
+//! The plane is cut into square tiles whose edge is at least the global
+//! maximum radio range, each tile is owned by one shard, and a node is
+//! owned by its tile's shard. Because tile edge ≥ range, every possible
+//! link's endpoints lie within one tile index of each other (the same
+//! invariant the per-channel spatial grid in
+//! [`crate::neighbor::ChannelIndexedTables`] relies on), so a shard that
+//! *mirrors* the 3×3 tile neighborhood around each node it owns sees
+//! every neighbor any of its senders can reach — the **halo invariant**.
+//! [`TilePartition::membership`] computes exactly that mirror set.
 //!
 //! Constraint-based placement (DUNE-style): nodes can be **pinned** to a
 //! shard regardless of their tile, and whole tiles can be **reassigned**
@@ -35,36 +26,6 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// A tile address: the integer cell of a position under the tile edge.
 pub type Tile = (i64, i64);
-
-/// Which shard owns a node.
-#[derive(Debug, Clone)]
-pub enum Partitioner {
-    /// `node.0 % shards` — the in-process cluster's assignment.
-    Modulo {
-        /// Shard count (≥ 1).
-        shards: u32,
-    },
-    /// Grid-aligned spatial tiles with pins and overrides.
-    Spatial(TilePartition),
-}
-
-impl Partitioner {
-    /// The shard that owns `node` at `pos`.
-    pub fn owner_of(&self, node: NodeId, pos: Point) -> u32 {
-        match self {
-            Partitioner::Modulo { shards } => node.0 % (*shards).max(1),
-            Partitioner::Spatial(t) => t.owner_of(node, pos),
-        }
-    }
-
-    /// Shard count.
-    pub fn shards(&self) -> u32 {
-        match self {
-            Partitioner::Modulo { shards } => (*shards).max(1),
-            Partitioner::Spatial(t) => t.shards,
-        }
-    }
-}
 
 /// The spatial tiling: square tiles of edge `tile_edge`, owner =
 /// deterministic mix of the tile address modulo the shard count, with
@@ -228,14 +189,6 @@ mod tests {
 
     fn cheb(a: Tile, b: Tile) -> i64 {
         (a.0 - b.0).abs().max((a.1 - b.1).abs())
-    }
-
-    #[test]
-    fn modulo_matches_historical_assignment() {
-        let p = Partitioner::Modulo { shards: 4 };
-        for i in 0..32u32 {
-            assert_eq!(p.owner_of(NodeId(i), Point::new(1e9, -1e9)), i % 4);
-        }
     }
 
     #[test]

@@ -96,7 +96,6 @@ pub(crate) fn determinism_scope(rel: &str) -> bool {
             "crates/server/src/sim.rs"
                 | "crates/server/src/engine.rs"
                 | "crates/server/src/script.rs"
-                | "crates/server/src/cluster.rs"
         )
 }
 
@@ -112,7 +111,6 @@ pub(crate) fn panic_scope(rel: &str) -> bool {
                 | "crates/server/src/session.rs"
                 | "crates/server/src/timer.rs"
                 | "crates/server/src/engine.rs"
-                | "crates/server/src/cluster.rs"
                 | "crates/server/src/sim.rs"
                 | "crates/client/src/mux.rs"
                 | "crates/profiles/src/parser.rs"

@@ -30,7 +30,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod cluster;
 pub mod engine;
 pub(crate) mod reactor;
 pub mod script;
@@ -40,7 +39,6 @@ pub mod sim;
 pub(crate) mod timer;
 pub mod viz;
 
-pub use cluster::{ClusterConfig, ClusterPipeline};
 pub use engine::{Delivery, Pipeline, PipelineConfig};
 pub use script::{Script, ScriptEntry};
 pub use server::{ServerConfig, ServerHandle};
