@@ -3,8 +3,9 @@
 //! Scene faults (flap, crash, jam) are not new scene machinery — they
 //! *compile* to legs of existing [`SceneOp`]s against the current scene:
 //! an injection leg applied at fault time and restore legs applied after
-//! the fault's duration. Both the deterministic sim harness and the
-//! real-time server driver execute the same legs, which is what keeps the
+//! the fault's duration. One fault executor in `poem-server` runs the legs
+//! for both the deterministic sim harness and the real-time server, each
+//! leg through that frontend's own scene-op path, which is what keeps the
 //! two frontends behaviorally aligned.
 
 use crate::plan::{FaultKind, KIND_NAMES};

@@ -37,7 +37,7 @@ const CHECKS: &[(&str, &str, &[&str])] = &[
     (
         "crates/chaos/src/plan.rs",
         "FaultKind",
-        &["crates/server/src/script.rs", "crates/server/src/sim.rs"],
+        &["crates/server/src/script.rs", "crates/server/src/faults.rs"],
     ),
     ("crates/core/src/sleep.rs", "SleepPolicy", &["crates/server/src/server.rs"]),
     (

@@ -94,6 +94,7 @@ pub(crate) fn determinism_scope(rel: &str) -> bool {
         || matches!(
             rel,
             "crates/server/src/sim.rs"
+                | "crates/server/src/faults.rs"
                 | "crates/server/src/engine.rs"
                 | "crates/server/src/script.rs"
         )
@@ -112,6 +113,7 @@ pub(crate) fn panic_scope(rel: &str) -> bool {
                 | "crates/server/src/timer.rs"
                 | "crates/server/src/engine.rs"
                 | "crates/server/src/sim.rs"
+                | "crates/server/src/faults.rs"
                 | "crates/client/src/mux.rs"
                 | "crates/profiles/src/parser.rs"
         )

@@ -21,16 +21,21 @@
 //! * [`viz`] — text rendering of scenes and neighbor tables (the GUI
 //!   replacement).
 //!
-//! Fault injection (`poem-chaos`) plugs into both frontends: `fault …`
-//! script lines become a [`poem_chaos::FaultPlan`] executed by
-//! [`sim::SimNet::install_faults`] under virtual time and by
-//! [`server::ServerHandle::spawn_fault_driver`] under wall-clock time.
+//! Fault injection (`poem-chaos`) plugs into both frontends through one
+//! executor: `fault …` script lines become a [`poem_chaos::FaultPlan`]
+//! whose steps [`sim::SimNet::install_faults`] queues under virtual time
+//! and [`server::ServerHandle::spawn_fault_driver`] runs under wall-clock
+//! time. The executor (`faults`) holds the one dispatch over every fault
+//! kind, the one stall book and the fault log; each frontend only supplies
+//! its own scene-op path, wire sink, clock handling, disconnect, and crash
+//! park and revive.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod engine;
+pub(crate) mod faults;
 pub(crate) mod reactor;
 pub mod script;
 pub mod server;

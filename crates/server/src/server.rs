@@ -30,12 +30,13 @@
 //! effect immediately for every client — the consistency argument of §2.3.
 
 use crate::engine::{Delivery, Pipeline};
+use crate::faults::{ClockFault, FaultExecutor, FaultHost, FaultStep, Gate, WireProbs};
 use crate::reactor::{ConnShared, Enqueue, Reactor};
 use crate::session::{Conn, PacingConfig, SessionState};
 use crate::timer::TimerWheel;
 use parking_lot::{Condvar, Mutex};
-use poem_chaos::engine::{crash_legs, flap_legs, injection_record, jam_legs};
-use poem_chaos::{ChaosMetrics, FaultKind, FaultPlan, WireFaultHub};
+use poem_chaos::{FaultKind, FaultPlan, WireFaultHub};
+use poem_cluster::{ClusterError, Coordinator};
 use poem_core::clock::Clock;
 use poem_core::scene::{Scene, SceneError, SceneOp};
 use poem_core::sleep::{DutyCycle, GuardBand, SleepPolicy};
@@ -43,12 +44,12 @@ use poem_core::{EmuDuration, EmuPacket, EmuRng, EmuTime, ForwardSchedule, NodeId
 use poem_obs::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
 use poem_proto::messages::{ClientMsg, ServerMsg, PROTOCOL_VERSION};
 use poem_record::HistogramRow;
-use poem_record::{FaultRecord, MetricsRecord, Recorder, TrafficRecord};
+use poem_record::{MetricsRecord, Recorder, TrafficRecord};
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -228,16 +229,6 @@ impl ServerMetrics {
     }
 }
 
-/// A transport fault in force against one client: deliveries are held (up
-/// to `capacity`) or dropped until `until`.
-struct StallEntry {
-    until: EmuTime,
-    /// `None` = plain stall (hold everything); `Some(n)` = slow reader
-    /// with an `n`-delivery buffer, overflow is dropped.
-    capacity: Option<usize>,
-    held: Vec<Delivery>,
-}
-
 struct Shared {
     pipeline: Mutex<Pipeline>,
     /// The scenario seed (`ServerConfig::seed`), kept so late-installed
@@ -255,14 +246,15 @@ struct Shared {
     reactor: Reactor,
     /// Wake total already folded into `poem_reactor_wakes_total`.
     wakes_seen: AtomicU64,
-    /// Active transport faults (stall / slow-reader), keyed by victim.
-    stalls: Mutex<HashMap<NodeId, StallEntry>>,
+    /// The fault executor, created by the first fault driver. Its stall
+    /// book gates every fire pass.
+    faults: OnceLock<FaultExecutor>,
     /// Distributed forwarding, when a worker fleet is attached. The
     /// real-time frontend uses it best-effort: any cluster failure logs,
     /// tears the fleet down, and falls back to local forwarding (unlike
     /// the virtual-time harness, which fails the run — real time has no
     /// byte-identity contract to protect).
-    cluster: Mutex<Option<Box<poem_cluster::Coordinator>>>,
+    cluster: Mutex<Option<Box<Coordinator>>>,
     read_timeout: Option<Duration>,
     write_timeout: Option<Duration>,
     write_buffer_cap: usize,
@@ -314,7 +306,7 @@ impl ServerHandle {
             metrics,
             reactor: Reactor::new(config.reactor_workers),
             wakes_seen: AtomicU64::new(0),
-            stalls: Mutex::new(HashMap::new()),
+            faults: OnceLock::new(),
             cluster: Mutex::new(None),
             read_timeout: config.read_timeout,
             write_timeout: config.write_timeout,
@@ -414,34 +406,7 @@ impl ServerHandle {
     /// Applies a scene operation right now — the API behind the paper's
     /// GUI drag/configure interactions.
     pub fn apply_op(&self, op: SceneOp) -> Result<(), SceneError> {
-        let now = self.shared.clock.now();
-        let dead = {
-            let mut pipeline = self.shared.pipeline.lock();
-            pipeline.apply_op(now, op.clone())?;
-            let mut cluster = self.shared.cluster.lock();
-            match cluster.as_deref_mut() {
-                Some(coord) => {
-                    // The coordinator round-trip is the resource this
-                    // dedicated mutex serializes: mirror order must match
-                    // pipeline apply order, so the RPC cannot move outside
-                    // the guards.
-                    if let Err(e) = coord.apply_op(now, &op, pipeline.scene()) {
-                        eprintln!(
-                            "cluster failure on `{op}`, falling back to local forwarding: {e}"
-                        );
-                        cluster.take()
-                    } else {
-                        None
-                    }
-                }
-                None => None,
-            }
-        };
-        // Teardown blocks on the wire — run it with every lock released.
-        if let Some(mut coord) = dead {
-            coord.shutdown();
-        }
-        Ok(())
+        self.shared.apply_op(op)
     }
 
     /// Runs `f` with read access to the current scene.
@@ -1189,19 +1154,6 @@ fn spin_until(shared: &Shared, due: EmuTime) {
     }
 }
 
-/// What a transport fault does with a copy that is about to fire.
-enum Gate {
-    /// No fault in force against the receiver.
-    Pass(Delivery),
-    /// Held until the stall ends.
-    Parked,
-    /// Past the slow reader's buffer: lost as if the client were gone.
-    Overflow(Delivery),
-    /// The stall's deadline has passed: the copies it held go out first,
-    /// in their original fire order, then this one.
-    Released(Delivery, Vec<Delivery>),
-}
-
 /// One receiver's share of the frame being assembled.
 struct FrameCopy {
     to: NodeId,
@@ -1255,24 +1207,26 @@ impl FirePass {
             let clients = shared.clients.lock();
             self.targets.extend(self.due.iter().map(|d| clients.get(&d.to).cloned()));
         }
-        let faults_active = !shared.stalls.lock().is_empty();
+        let stalls = shared.faults.get().filter(|f| f.stalling());
         let mut due = std::mem::take(&mut self.due);
         let mut targets = std::mem::take(&mut self.targets);
         for (d, target) in due.drain(..).zip(targets.drain(..)) {
-            let gate = if faults_active { shared.stall_gate(d, now) } else { Gate::Pass(d) };
+            let gate = match stalls {
+                Some(book) => book.gate(d, now),
+                None => Gate::Pass(d),
+            };
             match gate {
                 Gate::Pass(d) => self.route(shared, d, target, now),
-                Gate::Parked => {}
+                Gate::Held => {}
                 Gate::Overflow(d) => {
                     self.emit(shared);
                     shared.record_disconnected(d.packet.id, d.to, now);
                 }
+                // Every held copy is addressed to this copy's receiver.
                 Gate::Released(d, held) => {
-                    for h in held {
-                        let client = shared.clients.lock().get(&h.to).cloned();
-                        self.route(shared, h, client, now);
+                    for d in held.into_iter().chain([d]) {
+                        self.route(shared, d, target.clone(), now);
                     }
-                    self.route(shared, d, target, now);
                 }
             }
         }
@@ -1371,38 +1325,48 @@ impl Shared {
         });
     }
 
-    /// Applies the transport fault in force against `d`'s receiver, if
-    /// any: a stalled client's copies are parked (or, past its buffer,
-    /// dropped) without blocking the scanning thread. A stall whose
-    /// deadline has already passed is released right here, on the first
-    /// post-expiry fire, so a tardy (or dead) fault-driver `Release` step
-    /// can no longer let later packets overtake parked ones.
-    fn stall_gate(&self, d: Delivery, now: EmuTime) -> Gate {
-        let held = {
-            let mut stalls = self.stalls.lock();
-            match stalls.get_mut(&d.to) {
-                None => return Gate::Pass(d),
-                Some(st) if now < st.until => {
-                    return match st.capacity {
-                        Some(cap) if st.held.len() >= cap => Gate::Overflow(d),
-                        _ => {
-                            st.held.push(d);
-                            Gate::Parked
-                        }
-                    };
-                }
-                Some(_) => stalls.remove(&d.to).map(|st| st.held).unwrap_or_default(),
-            }
-        };
-        // Whoever removes the entry owns the release bookkeeping; the
-        // driver's own `Release` then finds nothing and does nothing.
-        ChaosMetrics::register(&self.registry).deactivate();
-        self.recorder.record_fault(FaultRecord::Transport {
-            at: now,
-            node: d.to,
-            action: "release".into(),
-        });
-        Gate::Released(d, held)
+    /// The fault executor, created on first use.
+    fn faults(&self) -> &FaultExecutor {
+        self.faults.get_or_init(|| FaultExecutor::new(&self.registry, Arc::clone(&self.recorder)))
+    }
+
+    /// Applies a scene op now: the pipeline, then the worker fleet's
+    /// mirror, if one is attached.
+    fn apply_op(&self, op: SceneOp) -> Result<(), SceneError> {
+        let now = self.clock.now();
+        let mut pipeline = self.pipeline.lock();
+        pipeline.apply_op(now, op.clone())?;
+        // Mirror order must match pipeline apply order, so the round-trip
+        // runs under the pipeline guard.
+        let mirrored = self.on_fleet(|coord| coord.apply_op(now, &op, pipeline.scene()));
+        drop(pipeline);
+        Self::teardown(mirrored);
+        Ok(())
+    }
+
+    /// Runs `f` on the attached worker fleet under the cluster mutex, which
+    /// serializes the coordinator wire protocol. `Ok(None)` with no fleet
+    /// attached. A failure logs and detaches the fleet, handing it back
+    /// for [`Self::teardown`] — real-time cluster use is best-effort, and
+    /// forwarding falls back to the local pipeline.
+    fn on_fleet<T>(
+        &self,
+        f: impl FnOnce(&mut Coordinator) -> Result<T, ClusterError>,
+    ) -> Result<Option<T>, Option<Box<Coordinator>>> {
+        let mut cluster = self.cluster.lock();
+        let Some(coord) = cluster.as_deref_mut() else { return Ok(None) };
+        f(coord).map(Some).map_err(|e| {
+            eprintln!("cluster failure, falling back to local forwarding: {e}");
+            cluster.take()
+        })
+    }
+
+    /// Shuts down a fleet [`Self::on_fleet`] detached. Teardown blocks on
+    /// the wire: callers run it with every lock released.
+    fn teardown<T>(outcome: Result<T, Option<Box<Coordinator>>>) {
+        if let Err(Some(mut coord)) = outcome {
+            coord.shutdown();
+        }
     }
 
     /// Sleeps for `d` or until shutdown wakes the periodic threads,
@@ -1457,28 +1421,16 @@ fn mobility_loop(shared: Arc<Shared>, step: Duration) {
     // more after `running` flipped.
     while shared.interruptible_sleep(step) {
         let now = shared.clock.now();
-        let mut dead = None;
-        {
-            let mut pipeline = shared.pipeline.lock();
-            let had_mobile = pipeline.scene().nodes().any(|v| v.mobility.is_mobile());
-            if had_mobile {
-                pipeline.advance_mobility(now);
-                let mut cluster = shared.cluster.lock();
-                if let Some(coord) = cluster.as_deref_mut() {
-                    // The sync must see the freshly-advanced scene under
-                    // the same pipeline guard, and the cluster mutex
-                    // serializes the coordinator wire protocol.
-                    if let Err(e) = coord.sync(now, pipeline.scene()) {
-                        eprintln!("cluster sync failed, falling back to local forwarding: {e}");
-                        dead = cluster.take();
-                    }
-                }
-            }
+        let mut pipeline = shared.pipeline.lock();
+        if !pipeline.scene().nodes().any(|v| v.mobility.is_mobile()) {
+            continue;
         }
-        // Teardown blocks on the wire — run it with every lock released.
-        if let Some(mut coord) = dead {
-            coord.shutdown();
-        }
+        pipeline.advance_mobility(now);
+        // The sync must see the freshly-advanced scene under the same
+        // pipeline guard.
+        let synced = shared.on_fleet(|coord| coord.sync(now, pipeline.scene()));
+        drop(pipeline);
+        Shared::teardown(synced);
     }
 }
 
@@ -1493,30 +1445,14 @@ fn ingest_batch_best_effort(
     pkts: &[EmuPacket],
     received_at: EmuTime,
 ) -> Vec<Delivery> {
-    let mut dead = None;
-    {
-        let mut cluster = shared.cluster.lock();
-        if let Some(coord) = cluster.as_deref_mut() {
-            // The batch round-trip is the resource the cluster mutex
-            // serializes; concurrent workers must not interleave frames.
-            match coord.ingest_batch(pkts, received_at, &shared.recorder) {
-                Ok(settled) => {
-                    return settled
-                        .into_iter()
-                        .map(|d| Delivery { to: d.to, fire_at: d.fire_at, packet: d.packet })
-                        .collect();
-                }
-                Err(e) => {
-                    eprintln!("cluster failure, falling back to local forwarding: {e}");
-                    dead = cluster.take();
-                }
-            }
-        }
+    let settled = shared.on_fleet(|coord| coord.ingest_batch(pkts, received_at, &shared.recorder));
+    if let Ok(Some(settled)) = settled {
+        return settled
+            .into_iter()
+            .map(|d| Delivery { to: d.to, fire_at: d.fire_at, packet: d.packet })
+            .collect();
     }
-    // Teardown blocks on the wire — run it with every lock released.
-    if let Some(mut coord) = dead {
-        coord.shutdown();
-    }
+    Shared::teardown(settled);
     let mut pipeline = shared.pipeline.lock();
     let mut out = Vec::new();
     for pkt in pkts {
@@ -1546,31 +1482,22 @@ fn metrics_loop(shared: Arc<Shared>, interval: Duration) {
     }
 }
 
-/// One pending action on the fault driver's timeline: the injection
-/// itself, a scheduled restore leg, a stall release, or a bookkeeping
-/// expiry (gauge + record).
-enum DriverStep {
-    Inject(FaultKind),
-    Op(SceneOp),
-    Release(NodeId),
-    Expire(String),
-}
-
 /// Executes a [`FaultPlan`] against wall-clock time (the real-time
 /// counterpart of `SimNet::install_faults`).
 fn fault_driver(shared: Arc<Shared>, plan: FaultPlan, wires: Option<Arc<WireFaultHub>>) {
-    let metrics = ChaosMetrics::register(&shared.registry);
-    let mut timeline: ForwardSchedule<DriverStep> = ForwardSchedule::new();
+    let mut host =
+        RealTimeHost { shared: &shared, wires: wires.as_deref(), timeline: ForwardSchedule::new() };
     for spec in plan.specs() {
-        timeline.schedule(spec.at, DriverStep::Inject(spec.kind.clone()));
+        host.timeline.schedule(spec.at, FaultStep::Inject(spec.kind.clone()));
     }
-    while shared.running.load(Ordering::Acquire) && !timeline.is_empty() {
+    while shared.running.load(Ordering::Acquire) && !host.timeline.is_empty() {
         let now = shared.clock.now();
-        if let Some((_, step)) = timeline.pop_due(now) {
-            drive_step(&shared, &metrics, &mut timeline, step, now, wires.as_deref());
+        if let Some((_, step)) = host.timeline.pop_due(now) {
+            shared.faults().step(&mut host, now, step);
             continue;
         }
-        let wait = timeline
+        let wait = host
+            .timeline
             .next_due()
             .map(|due| (due - now).to_std())
             .unwrap_or(Duration::from_millis(20));
@@ -1578,166 +1505,60 @@ fn fault_driver(shared: Arc<Shared>, plan: FaultPlan, wires: Option<Arc<WireFaul
     }
 }
 
-fn drive_step(
-    shared: &Arc<Shared>,
-    metrics: &ChaosMetrics,
-    timeline: &mut ForwardSchedule<DriverStep>,
-    step: DriverStep,
-    now: EmuTime,
-    wires: Option<&WireFaultHub>,
-) {
-    match step {
-        DriverStep::Inject(kind) => {
-            if let Some(rec) = injection_record(&kind, now) {
-                shared.recorder.record_fault(rec);
-            }
-            // Wire kinds count per occurrence (inside the stream's
-            // `WireFaults`); the rest count here, at injection.
-            if kind.layer() != "wire" {
-                metrics.injected(kind.name());
-            }
-            inject(shared, metrics, timeline, kind, now, wires);
-        }
-        DriverStep::Op(op) => {
-            let t = shared.clock.now();
-            let _ = shared.pipeline.lock().apply_op(t, op);
-        }
-        DriverStep::Release(node) => {
-            let entry = {
-                let mut stalls = shared.stalls.lock();
-                // An extension superseded this release; a later one is on
-                // the timeline.
-                match stalls.get(&node) {
-                    Some(st) if st.until > now => None,
-                    _ => stalls.remove(&node),
-                }
-            };
-            if let Some(st) = entry {
-                metrics.deactivate();
-                shared.recorder.record_fault(FaultRecord::Transport {
-                    at: now,
-                    node,
-                    action: "release".into(),
-                });
-                if !st.held.is_empty() {
-                    let mut schedule = shared.schedule.lock();
-                    for d in st.held {
-                        schedule.schedule(now, d);
-                    }
-                    shared.schedule_cv.notify_all();
-                }
-            }
-        }
-        DriverStep::Expire(action) => {
-            metrics.deactivate();
-            shared.recorder.record_fault(FaultRecord::Scene { at: now, action });
-        }
-    }
+/// The wall-clock side of the fault executor: one fault driver's
+/// timeline over the shared server state.
+struct RealTimeHost<'a> {
+    shared: &'a Shared,
+    wires: Option<&'a WireFaultHub>,
+    timeline: ForwardSchedule<FaultStep>,
 }
 
-fn inject(
-    shared: &Arc<Shared>,
-    metrics: &ChaosMetrics,
-    timeline: &mut ForwardSchedule<DriverStep>,
-    kind: FaultKind,
-    now: EmuTime,
-    wires: Option<&WireFaultHub>,
-) {
-    match kind {
-        FaultKind::WireCorrupt { .. }
-        | FaultKind::WireTruncate { .. }
-        | FaultKind::WireDuplicate { .. }
-        | FaultKind::WireReorder { .. } => {
-            if let Some(hub) = wires {
-                hub.configure(&kind);
-            }
-        }
-        FaultKind::Disconnect { node } => {
-            shared.evict(node);
-        }
-        FaultKind::Stall { node, duration } => {
-            begin_stall(shared, metrics, timeline, node, now + duration, None);
-        }
-        FaultKind::SlowReader { node, buffer, duration } => {
-            begin_stall(shared, metrics, timeline, node, now + duration, Some(buffer as usize));
-        }
-        FaultKind::LinkFlap { node, radio, factor, duration } => {
-            let legs =
-                flap_legs(shared.pipeline.lock().scene(), now, node, radio, factor, duration);
-            if let Some(legs) = legs {
-                metrics.activate();
-                apply_legs(shared, timeline, legs, now);
-                timeline.schedule(
-                    now + duration,
-                    DriverStep::Expire(format!("link_flap {node} restore")),
-                );
-            }
-        }
-        FaultKind::Crash { node, restart_after } => {
-            let legs = crash_legs(shared.pipeline.lock().scene(), now, node, restart_after);
-            if let Some((remove, restore)) = legs {
-                // A crashed VMN loses its process *and* its radios.
-                shared.evict(node);
-                shared.pipeline.lock().apply_op(now, remove).ok();
-                if let Some((t, add)) = restore {
-                    metrics.activate();
-                    timeline.schedule(t, DriverStep::Op(add));
-                    timeline.schedule(t, DriverStep::Expire(format!("restore {node}")));
-                }
-            }
-        }
-        FaultKind::Jam { channel, duration } => {
-            let legs = jam_legs(shared.pipeline.lock().scene(), now, channel, duration);
-            if !legs.is_empty() {
-                metrics.activate();
-                apply_legs(shared, timeline, legs, now);
-                timeline.schedule(
-                    now + duration,
-                    DriverStep::Expire(format!("jam ch{} restore", channel.0)),
-                );
-            }
-        }
-        // The real skew/jitter lives client-side in a `ChaosClock`;
-        // server-side the injection is recorded and counted above.
-        FaultKind::ClockSkew { .. } | FaultKind::ClockJitter { .. } => {}
+impl FaultHost for RealTimeHost<'_> {
+    fn with_scene<R>(&self, f: impl FnOnce(&Scene) -> R) -> R {
+        f(self.shared.pipeline.lock().scene())
     }
-}
 
-fn begin_stall(
-    shared: &Arc<Shared>,
-    metrics: &ChaosMetrics,
-    timeline: &mut ForwardSchedule<DriverStep>,
-    node: NodeId,
-    until: EmuTime,
-    capacity: Option<usize>,
-) {
-    let fresh = {
-        let mut stalls = shared.stalls.lock();
-        let fresh = !stalls.contains_key(&node);
-        let st =
-            stalls.entry(node).or_insert_with(|| StallEntry { until, capacity, held: Vec::new() });
-        st.until = st.until.max(until);
-        st.capacity = capacity;
-        fresh
-    };
-    if fresh {
-        metrics.activate();
+    fn apply(&mut self, op: SceneOp) -> bool {
+        self.shared.apply_op(op).is_ok()
     }
-    timeline.schedule(until, DriverStep::Release(node));
-}
 
-fn apply_legs(
-    shared: &Arc<Shared>,
-    timeline: &mut ForwardSchedule<DriverStep>,
-    legs: Vec<(EmuTime, SceneOp)>,
-    now: EmuTime,
-) {
-    for (at, op) in legs {
-        if at <= now {
-            let _ = shared.pipeline.lock().apply_op(now, op);
-        } else {
-            timeline.schedule(at, DriverStep::Op(op));
+    /// Streams registered with the hub keep mangling until reconfigured.
+    fn wire(&mut self, kind: &FaultKind, _node: NodeId, _set: impl FnOnce(&mut WireProbs)) {
+        if let Some(hub) = self.wires {
+            hub.configure(kind);
         }
+    }
+
+    /// The real skew and jitter live client-side in a `ChaosClock`; the
+    /// server only records and counts the injection.
+    fn clock(&mut self, _node: NodeId, _set: impl FnOnce(&mut ClockFault)) {}
+
+    fn disconnect(&mut self, node: NodeId) {
+        self.shared.evict(node);
+    }
+
+    /// A crashed VMN loses its process along with its radios.
+    fn park(&mut self, node: NodeId) {
+        self.shared.evict(node);
+    }
+
+    /// A restarted VMN's client reconnects on its own.
+    fn revive(&mut self, _node: NodeId) {}
+
+    fn redeliver(&mut self, held: Vec<Delivery>) {
+        if held.is_empty() {
+            return;
+        }
+        let now = self.shared.clock.now();
+        let mut schedule = self.shared.schedule.lock();
+        for d in held {
+            schedule.schedule(now, d);
+        }
+        self.shared.schedule_cv.notify_all();
+    }
+
+    fn schedule(&mut self, at: EmuTime, step: FaultStep) {
+        self.timeline.schedule(at, step);
     }
 }
 
@@ -1759,6 +1580,7 @@ mod tests {
     use poem_core::radio::RadioConfig;
     use poem_core::{ChannelId, Point};
     use poem_proto::{MsgReader, MsgWriter};
+    use poem_record::FaultRecord;
 
     fn test_scene() -> Scene {
         let mut s = Scene::new();
@@ -2088,16 +1910,14 @@ mod tests {
         let sessions =
             mux.attach_many(&[(NodeId(1), radios.clone()), (NodeId(3), radios)]).unwrap();
         let (s1, s3) = (&sessions[0], &sessions[1]);
-        // Install the transport stall directly, with no fault driver: its
-        // Release leg will never run, which is exactly the regression —
-        // the held copies used to stay parked forever and later packets
-        // overtook them.
-        let until = server.clock().now() + EmuDuration::from_millis(300);
-        server
-            .shared
-            .stalls
-            .lock()
-            .insert(NodeId(3), StallEntry { until, capacity: None, held: Vec::new() });
+        // Inject the transport stall with no fault driver popping the
+        // timeline: its Release step will never run, which is exactly the
+        // regression — the held copies used to stay parked forever and
+        // later packets overtook them.
+        let stall = FaultKind::Stall { node: NodeId(3), duration: EmuDuration::from_millis(300) };
+        let mut host =
+            RealTimeHost { shared: &server.shared, wires: None, timeline: ForwardSchedule::new() };
+        server.shared.faults().step(&mut host, server.clock().now(), FaultStep::Inject(stall));
         let broadcast = |payload: &'static [u8]| {
             c2.send(ChannelId(1), Destination::Broadcast, Bytes::from_static(payload))
                 .unwrap()
@@ -2122,7 +1942,7 @@ mod tests {
         broadcast(b"four");
         assert_eq!(heard(s3, 4), [&b"one"[..], b"two", b"three", b"four"].map(Bytes::from_static));
         assert_eq!(heard(s1, 1), [Bytes::from_static(b"four")]);
-        assert!(server.shared.stalls.lock().is_empty(), "expired entry must be dropped");
+        assert!(!server.shared.faults().stalling(), "expired entry must be dropped");
         // Every copy has its own Forward record, parked or not.
         let forwards = |to: u32| {
             let traffic = server.recorder().traffic();

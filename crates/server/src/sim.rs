@@ -10,8 +10,9 @@
 //! time).
 
 use crate::engine::{Delivery, Pipeline};
+use crate::faults::{ClockFault, FaultExecutor, FaultHost, FaultStep, Gate, WireProbs};
 use bytes::Bytes;
-use poem_chaos::{ChaosMetrics, FaultKind, FaultPlan};
+use poem_chaos::{FaultKind, FaultPlan};
 use poem_client::nic::QueueNic;
 use poem_client::ClientApp;
 use poem_cluster::{ClusterConfig, ClusterError, Coordinator};
@@ -20,7 +21,7 @@ use poem_core::mobility::MobilityModel;
 use poem_core::radio::RadioConfig;
 use poem_core::scene::{Scene, SceneError, SceneOp};
 use poem_core::{EmuDuration, EmuPacket, EmuRng, EmuTime, ForwardSchedule, NodeId, Point};
-use poem_record::{FaultRecord, Recorder, TrafficRecord};
+use poem_record::{Recorder, TrafficRecord};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -54,15 +55,8 @@ enum SimEvent {
     Mobility,
     /// A scripted scene operation.
     Op(SceneOp),
-    /// A scheduled fault injection from an installed [`FaultPlan`].
-    Fault(FaultKind),
-    /// A stall/slow-reader expiry: flush the node's held deliveries.
-    ChaosRelease(NodeId),
-    /// A crash restart: re-add the parked node and its client.
-    ChaosRevive(NodeId),
-    /// A timed scene fault (flap/jam) ran out; the restore `Op` legs are
-    /// scheduled separately — this event only closes the books.
-    ChaosExpire(String),
+    /// A step of an installed [`FaultPlan`]: an injection or a restore.
+    Fault(FaultStep),
 }
 
 struct SimNode {
@@ -70,63 +64,20 @@ struct SimNode {
     app: Box<dyn ClientApp>,
 }
 
-/// Per-sender wire-fault probabilities (sim-level analogue of
-/// `poem_chaos::WireFaults`, applied at the packet rather than byte layer
-/// so virtual time stays exact).
-#[derive(Debug, Clone, Copy, Default)]
-struct WireProbs {
-    corrupt: f64,
-    truncate: f64,
-    duplicate: f64,
-    reorder: f64,
-}
-
-struct StallState {
-    until: EmuTime,
-    /// `None` = unbounded stall buffer; `Some(n)` = slow reader holding at
-    /// most `n` frames, overflow dropped as disconnected copies.
-    capacity: Option<u32>,
-    held: Vec<Delivery>,
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct ClockFault {
-    skew: EmuDuration,
-    jitter_std: EmuDuration,
-}
-
-/// What the transport-fault layer decided about a due delivery.
-enum Intercept {
-    Pass(Delivery),
-    Held,
-    Dropped(Delivery),
-}
-
-/// The sim harness's fault-injection state. Lives behind an `Option` so a
-/// chaos-free run is bit-for-bit the run it always was: the chaos RNG is a
-/// separate stream (`poem_chaos::chaos_rng`), and nothing here is even
-/// allocated until a fault is installed.
+/// The sim harness's fault-injection state: the executor, a packet-level
+/// wire sink, stamp-rewriting clock faults, and parked crashed clients.
+/// Lives behind an `Option` so a chaos-free run is bit-for-bit the run it
+/// always was: the chaos RNG is a separate stream
+/// (`poem_chaos::chaos_rng`), and nothing here exists before a fault.
 struct SimChaos {
+    exec: Arc<FaultExecutor>,
     rng: EmuRng,
-    metrics: ChaosMetrics,
-    recorder: Arc<Recorder>,
     wire: BTreeMap<NodeId, WireProbs>,
-    stalls: BTreeMap<NodeId, StallState>,
     clocks: BTreeMap<NodeId, ClockFault>,
-    parked: BTreeMap<NodeId, (SimNode, SceneOp)>,
+    parked: BTreeMap<NodeId, SimNode>,
 }
 
 impl SimChaos {
-    fn note_wire(&mut self, at: EmuTime, node: NodeId, action: &str, pkt: &EmuPacket) {
-        self.metrics.injected(action);
-        self.recorder.record_fault(FaultRecord::Wire {
-            at,
-            node,
-            action: action.to_string(),
-            bytes: pkt.wire_size() as u32,
-        });
-    }
-
     /// Runs one outbound packet through the sender's wire and clock
     /// faults. Fixed draw order (clock → corrupt → truncate → duplicate →
     /// reorder) keeps runs reproducible; faults with probability 0 draw
@@ -136,7 +87,7 @@ impl SimChaos {
         let node = pkt.src;
         if let Some(cf) = self.clocks.get(&node).copied() {
             let mut stamp = pkt.sent_at + cf.skew;
-            let std_ns = cf.jitter_std.as_nanos();
+            let std_ns = cf.jitter.as_nanos();
             if std_ns > 0 {
                 let j = self.rng.gaussian(0.0, std_ns as f64).abs();
                 stamp += EmuDuration::from_nanos(j as i64);
@@ -152,71 +103,28 @@ impl SimChaos {
             let mut body = pkt.payload.to_vec();
             body[i] ^= mask;
             pkt.payload = Bytes::from(body);
-            self.note_wire(now, node, "wire_corrupt", &pkt);
+            self.exec.note_wire(now, "wire_corrupt", &pkt);
         }
         if self.rng.chance(probs.truncate) && !pkt.payload.is_empty() {
             let keep = self.rng.index(pkt.payload.len());
             let mut body = pkt.payload.to_vec();
             body.truncate(keep);
             pkt.payload = Bytes::from(body);
-            self.note_wire(now, node, "wire_truncate", &pkt);
+            self.exec.note_wire(now, "wire_truncate", &pkt);
         }
         let copies = if self.rng.chance(probs.duplicate) {
-            self.note_wire(now, node, "wire_duplicate", &pkt);
+            self.exec.note_wire(now, "wire_duplicate", &pkt);
             vec![pkt.clone(), pkt]
         } else {
             vec![pkt]
         };
         let delay = if self.rng.chance(probs.reorder) {
-            self.note_wire(now, node, "wire_reorder", &copies[0]);
+            self.exec.note_wire(now, "wire_reorder", &copies[0]);
             EmuDuration::from_nanos(self.rng.range_u64(1_000_000, 50_000_001) as i64)
         } else {
             EmuDuration::ZERO
         };
         (copies, delay)
-    }
-
-    fn intercept(&mut self, d: Delivery, now: EmuTime) -> Intercept {
-        let Some(st) = self.stalls.get_mut(&d.to) else { return Intercept::Pass(d) };
-        if now >= st.until {
-            return Intercept::Pass(d);
-        }
-        match st.capacity {
-            Some(cap) if st.held.len() >= cap as usize => Intercept::Dropped(d),
-            _ => {
-                st.held.push(d);
-                Intercept::Held
-            }
-        }
-    }
-
-    /// Ends a stall. `None` when a newer stall superseded the expiry that
-    /// scheduled this release (its own release is still pending).
-    fn release(&mut self, node: NodeId, now: EmuTime) -> Option<Vec<Delivery>> {
-        if self.stalls.get(&node).is_none_or(|st| st.until > now) {
-            return None;
-        }
-        let st = self.stalls.remove(&node)?;
-        self.metrics.deactivate();
-        self.recorder.record_fault(FaultRecord::Transport {
-            at: now,
-            node,
-            action: "release".to_string(),
-        });
-        Some(st.held)
-    }
-
-    fn unpark(&mut self, node: NodeId, now: EmuTime) -> Option<(SimNode, SceneOp)> {
-        let entry = self.parked.remove(&node)?;
-        self.metrics.deactivate();
-        self.recorder
-            .record_fault(FaultRecord::Scene { at: now, action: format!("restore {node}") });
-        Some(entry)
-    }
-
-    fn expire(&mut self, action: String, now: EmuTime) {
-        self.metrics.deactivate();
-        self.recorder.record_fault(FaultRecord::Scene { at: now, action });
     }
 }
 
@@ -354,28 +262,15 @@ impl SimNet {
         }
     }
 
-    /// Mirrors a successfully applied scene op to the worker fleet, after
-    /// deciding everything ingested against the mirrors as they were.
-    fn mirror_op(&mut self, op: &SceneOp) {
+    /// Runs `f` on the worker fleet, after deciding everything ingested
+    /// against the mirrors as they were. The first failure sticks.
+    fn on_fleet(
+        &mut self,
+        f: impl FnOnce(&mut Coordinator, EmuTime, &Scene) -> Result<(), ClusterError>,
+    ) {
         self.close_window();
-        let Some(cl) = self.cluster.as_mut() else { return };
-        if cl.error.is_some() {
-            return;
-        }
-        if let Err(e) = cl.coord.apply_op(self.now, op, self.pipeline.scene()) {
-            cl.error = Some(e);
-        }
-    }
-
-    /// Rebalances, ships position updates, and runs a lockstep barrier —
-    /// once per mobility step.
-    fn cluster_sync(&mut self) {
-        self.close_window();
-        let Some(cl) = self.cluster.as_mut() else { return };
-        if cl.error.is_some() {
-            return;
-        }
-        if let Err(e) = cl.coord.sync(self.now, self.pipeline.scene()) {
+        let Some(cl) = self.cluster.as_mut().filter(|cl| cl.error.is_none()) else { return };
+        if let Err(e) = f(&mut cl.coord, self.now, self.pipeline.scene()) {
             cl.error = Some(e);
         }
     }
@@ -544,16 +439,8 @@ impl SimNet {
         link: LinkParams,
         app: Box<dyn ClientApp>,
     ) -> Result<(), SceneError> {
-        let add = SceneOp::AddNode { id, pos, radios: radios.clone(), mobility, link };
-        self.pipeline.apply_op(self.now, add.clone())?;
-        self.mirror_op(&add);
-        let mut node = SimNode { nic: QueueNic::new(id, radios), app };
-        node.nic.set_now(self.now);
-        if let Some(delay) = node.app.on_start(&mut node.nic) {
-            self.schedule.schedule(self.now + delay, SimEvent::Tick(id));
-        }
-        self.nodes.insert(id, node);
-        self.pump(id);
+        self.apply_op(SceneOp::AddNode { id, pos, radios: radios.clone(), mobility, link })?;
+        self.start_app(id, SimNode { nic: QueueNic::new(id, radios), app });
         self.close_window();
         if mobility != MobilityModel::Stationary && !self.mobility_armed {
             self.mobility_armed = true;
@@ -572,24 +459,28 @@ impl SimNet {
             return Err(SceneError::UnknownNode(id));
         };
         let radios = v.radios.clone();
-        let mut node = SimNode { nic: QueueNic::new(id, radios), app };
+        self.start_app(id, SimNode { nic: QueueNic::new(id, radios), app });
+        self.close_window();
+        Ok(())
+    }
+
+    /// Hosts `node` as `id`'s client: runs its `on_start` now and pumps
+    /// whatever it sends.
+    fn start_app(&mut self, id: NodeId, mut node: SimNode) {
         node.nic.set_now(self.now);
         if let Some(delay) = node.app.on_start(&mut node.nic) {
             self.schedule.schedule(self.now + delay, SimEvent::Tick(id));
         }
         self.nodes.insert(id, node);
         self.pump(id);
-        self.close_window();
-        Ok(())
     }
 
     /// Applies a scene op right now (the GUI's "real-time scene
     /// construction").
     pub fn apply_op(&mut self, op: SceneOp) -> Result<(), SceneError> {
-        let op_clone = op.clone();
-        self.pipeline.apply_op(self.now, op)?;
-        self.mirror_op(&op_clone);
-        self.after_op(&op_clone);
+        self.pipeline.apply_op(self.now, op.clone())?;
+        self.on_fleet(|coord, now, scene| coord.apply_op(now, &op, scene));
+        self.after_op(&op);
         Ok(())
     }
 
@@ -604,18 +495,18 @@ impl SimNet {
         self.pipeline.install_profiles(library, self.seed);
     }
 
-    fn ensure_chaos(&mut self) {
-        if self.chaos.is_none() {
-            self.chaos = Some(Box::new(SimChaos {
-                rng: poem_chaos::chaos_rng(self.seed),
-                metrics: ChaosMetrics::register(self.pipeline.metrics_registry()),
-                recorder: Arc::clone(self.pipeline.recorder()),
+    fn ensure_chaos(&mut self) -> &mut SimChaos {
+        let (seed, pipeline) = (self.seed, &self.pipeline);
+        self.chaos.get_or_insert_with(|| {
+            let recorder = Arc::clone(pipeline.recorder());
+            Box::new(SimChaos {
+                exec: Arc::new(FaultExecutor::new(pipeline.metrics_registry(), recorder)),
+                rng: poem_chaos::chaos_rng(seed),
                 wire: BTreeMap::new(),
-                stalls: BTreeMap::new(),
                 clocks: BTreeMap::new(),
                 parked: BTreeMap::new(),
-            }));
-        }
+            })
+        })
     }
 
     /// Installs a fault plan: past-due faults apply immediately, the rest
@@ -629,145 +520,19 @@ impl SimNet {
             if spec.at <= self.now {
                 self.apply_fault(spec.kind.clone());
             } else {
-                self.schedule.schedule(spec.at, SimEvent::Fault(spec.kind.clone()));
+                FaultHost::schedule(self, spec.at, FaultStep::Inject(spec.kind.clone()));
             }
         }
     }
 
     /// Injects one fault right now.
     pub fn apply_fault(&mut self, kind: FaultKind) {
-        self.ensure_chaos();
-        let now = self.now;
-        let Some(metrics) = self.chaos.as_ref().map(|c| c.metrics.clone()) else { return };
-        if let Some(rec) = poem_chaos::engine::injection_record(&kind, now) {
-            self.recorder().record_fault(rec);
-        }
-        // Wire kinds count per occurrence (in `SimChaos::transform`); the
-        // rest count here, at injection.
-        if kind.layer() != "wire" {
-            metrics.injected(kind.name());
-        }
-        match kind {
-            FaultKind::WireCorrupt { node, prob } => {
-                if let Some(chaos) = self.chaos.as_mut() {
-                    chaos.wire.entry(node).or_default().corrupt = prob;
-                }
-            }
-            FaultKind::WireTruncate { node, prob } => {
-                if let Some(chaos) = self.chaos.as_mut() {
-                    chaos.wire.entry(node).or_default().truncate = prob;
-                }
-            }
-            FaultKind::WireDuplicate { node, prob } => {
-                if let Some(chaos) = self.chaos.as_mut() {
-                    chaos.wire.entry(node).or_default().duplicate = prob;
-                }
-            }
-            FaultKind::WireReorder { node, prob } => {
-                if let Some(chaos) = self.chaos.as_mut() {
-                    chaos.wire.entry(node).or_default().reorder = prob;
-                }
-            }
-            FaultKind::Disconnect { node } => {
-                // The VMN stays in the scene; copies addressed to it now
-                // resolve as disconnected drops, as on the TCP frontend.
-                self.nodes.remove(&node);
-            }
-            FaultKind::Stall { node, duration } => {
-                self.begin_stall(node, now + duration, None, &metrics);
-            }
-            FaultKind::SlowReader { node, buffer, duration } => {
-                self.begin_stall(node, now + duration, Some(buffer), &metrics);
-            }
-            FaultKind::LinkFlap { node, radio, factor, duration } => {
-                let legs = poem_chaos::flap_legs(
-                    self.pipeline.scene(),
-                    now,
-                    node,
-                    radio,
-                    factor,
-                    duration,
-                );
-                if let Some(legs) = legs {
-                    self.apply_legs(legs);
-                    metrics.activate();
-                    self.schedule.schedule(
-                        now + duration,
-                        SimEvent::ChaosExpire(format!("link_flap {node} restore")),
-                    );
-                }
-            }
-            FaultKind::Crash { node, restart_after } => {
-                let legs = poem_chaos::crash_legs(self.pipeline.scene(), now, node, restart_after);
-                if let Some((remove, restore)) = legs {
-                    let parked_node = self.nodes.remove(&node);
-                    if self.pipeline.apply_op(now, remove.clone()).is_ok() {
-                        self.mirror_op(&remove);
-                        if let (Some(sim_node), Some((at, add))) = (parked_node, restore) {
-                            if let Some(chaos) = self.chaos.as_mut() {
-                                chaos.parked.insert(node, (sim_node, add));
-                            }
-                            metrics.activate();
-                            self.schedule.schedule(at, SimEvent::ChaosRevive(node));
-                        }
-                    }
-                }
-            }
-            FaultKind::Jam { channel, duration } => {
-                let legs = poem_chaos::jam_legs(self.pipeline.scene(), now, channel, duration);
-                if !legs.is_empty() {
-                    self.apply_legs(legs);
-                    metrics.activate();
-                    self.schedule.schedule(
-                        now + duration,
-                        SimEvent::ChaosExpire(format!("jam ch{} restore", channel.0)),
-                    );
-                }
-            }
-            FaultKind::ClockSkew { node, offset } => {
-                if let Some(chaos) = self.chaos.as_mut() {
-                    chaos.clocks.entry(node).or_default().skew = offset;
-                }
-            }
-            FaultKind::ClockJitter { node, std_dev } => {
-                if let Some(chaos) = self.chaos.as_mut() {
-                    chaos.clocks.entry(node).or_default().jitter_std = std_dev;
-                }
-            }
-        }
+        self.fault_step(FaultStep::Inject(kind));
     }
 
-    fn begin_stall(
-        &mut self,
-        node: NodeId,
-        until: EmuTime,
-        capacity: Option<u32>,
-        metrics: &ChaosMetrics,
-    ) {
-        if let Some(chaos) = self.chaos.as_mut() {
-            let fresh = chaos
-                .stalls
-                .insert(node, StallState { until, capacity, held: Vec::new() })
-                .is_none();
-            if fresh {
-                metrics.activate();
-            }
-            self.schedule.schedule(until, SimEvent::ChaosRelease(node));
-        }
-    }
-
-    /// Applies due legs now and schedules the rest.
-    fn apply_legs(&mut self, legs: Vec<(EmuTime, SceneOp)>) {
-        for (at, op) in legs {
-            if at <= self.now {
-                if self.pipeline.apply_op(self.now, op.clone()).is_ok() {
-                    self.mirror_op(&op);
-                    self.after_op(&op);
-                }
-            } else {
-                self.schedule.schedule(at, SimEvent::Op(op));
-            }
-        }
+    fn fault_step(&mut self, step: FaultStep) {
+        let exec = Arc::clone(&self.ensure_chaos().exec);
+        exec.step(self, self.now, step);
     }
 
     /// Keeps local NIC state consistent after an op.
@@ -841,93 +606,112 @@ impl SimNet {
                 }
                 SimEvent::Mobility => {
                     self.pipeline.advance_mobility(self.now);
-                    self.cluster_sync();
+                    // Rebalance, ship position updates, run a lockstep barrier.
+                    self.on_fleet(|coord, now, scene| coord.sync(now, scene));
                     self.schedule.schedule(self.now + self.mobility_step, SimEvent::Mobility);
                 }
                 SimEvent::Op(op) => {
                     // Scripted ops were validated by the author; a failure
                     // here (e.g. removing an already-removed node) is
                     // recorded nowhere and simply skipped.
-                    if self.pipeline.apply_op(self.now, op.clone()).is_ok() {
-                        self.mirror_op(&op);
-                        self.after_op(&op);
-                    }
+                    let _ = self.apply_op(op);
                 }
-                SimEvent::Fault(kind) => self.apply_fault(kind),
-                SimEvent::ChaosRelease(node) => {
-                    let held = self.chaos.as_mut().and_then(|c| c.release(node, self.now));
-                    for d in held.into_iter().flatten() {
-                        self.fire_delivery(d);
-                    }
-                }
-                SimEvent::ChaosRevive(node) => self.revive(node),
-                SimEvent::ChaosExpire(action) => {
-                    if let Some(chaos) = self.chaos.as_mut() {
-                        chaos.expire(action, self.now);
-                    }
-                }
+                SimEvent::Fault(step) => self.fault_step(step),
             }
         }
         self.close_window();
         self.now = self.now.max(t_end);
         if self.mobility_armed {
             self.pipeline.advance_mobility(self.now);
-            self.cluster_sync();
+            self.on_fleet(|coord, now, scene| coord.sync(now, scene));
         }
     }
 
-    /// Steps 5–6: hands a due delivery to its client and lets the protocol
-    /// react.
+    /// Steps 5–6: gates a due delivery through the stall book, hands it
+    /// to its client and lets the protocol react.
     fn fire_delivery(&mut self, d: Delivery) {
-        let d = match self.chaos.as_mut() {
-            Some(chaos) => match chaos.intercept(d, self.now) {
-                Intercept::Pass(d) => d,
-                Intercept::Held => return,
-                Intercept::Dropped(d) => {
-                    // Slow-reader overflow: the copy is lost exactly as if
-                    // the client were gone, keeping drop accounting whole.
-                    let row = self.pipeline.undeliverable_row(&d, self.now);
-                    Self::record_traffic(&mut self.cluster, self.pipeline.recorder(), row);
-                    return;
-                }
-            },
-            None => d,
+        let gate = match &self.chaos {
+            Some(chaos) => chaos.exec.gate(d, self.now),
+            None => Gate::Pass(d),
         };
-        let recorder = self.pipeline.recorder();
-        match self.nodes.get_mut(&d.to) {
-            Some(node) => {
-                let row = Pipeline::forward_row(&d, self.now);
-                Self::record_traffic(&mut self.cluster, recorder, row);
-                node.nic.set_now(self.now);
-                node.app.on_packet(&mut node.nic, d.packet.clone());
-                self.pump(d.to);
-            }
-            None => {
-                let row = self.pipeline.undeliverable_row(&d, self.now);
-                Self::record_traffic(&mut self.cluster, recorder, row);
+        match gate {
+            Gate::Pass(d) => self.deliver(d),
+            Gate::Held => {}
+            // Slow-reader overflow: the copy is lost exactly as if the
+            // client were gone, keeping drop accounting whole.
+            Gate::Overflow(d) => self.undeliverable(&d),
+            Gate::Released(d, held) => {
+                self.redeliver(held);
+                self.deliver(d);
             }
         }
     }
 
-    /// Restarts a crashed node: re-applies its captured `AddNode`, reboots
-    /// the parked client app, and pumps whatever it sends on start.
-    fn revive(&mut self, id: NodeId) {
-        let Some((mut node, add)) = self.chaos.as_mut().and_then(|c| c.unpark(id, self.now)) else {
+    fn deliver(&mut self, d: Delivery) {
+        let Some(node) = self.nodes.get_mut(&d.to) else {
+            self.undeliverable(&d);
             return;
         };
-        if self.pipeline.apply_op(self.now, add.clone()).is_err() {
-            return;
-        }
-        self.mirror_op(&add);
-        if let Some(radios) = self.pipeline.scene().node(id).map(|v| v.radios.clone()) {
-            node.nic.set_radios(radios);
-        }
+        let row = Pipeline::forward_row(&d, self.now);
+        Self::record_traffic(&mut self.cluster, self.pipeline.recorder(), row);
         node.nic.set_now(self.now);
-        if let Some(delay) = node.app.on_start(&mut node.nic) {
-            self.schedule.schedule(self.now + delay, SimEvent::Tick(id));
+        node.app.on_packet(&mut node.nic, d.packet);
+        self.pump(d.to);
+    }
+
+    fn undeliverable(&mut self, d: &Delivery) {
+        let row = self.pipeline.undeliverable_row(d, self.now);
+        Self::record_traffic(&mut self.cluster, self.pipeline.recorder(), row);
+    }
+}
+
+/// The virtual-time side of the fault executor.
+impl FaultHost for SimNet {
+    fn with_scene<R>(&self, f: impl FnOnce(&Scene) -> R) -> R {
+        f(self.pipeline.scene())
+    }
+
+    fn apply(&mut self, op: SceneOp) -> bool {
+        self.apply_op(op).is_ok()
+    }
+
+    fn wire(&mut self, _kind: &FaultKind, node: NodeId, set: impl FnOnce(&mut WireProbs)) {
+        set(self.ensure_chaos().wire.entry(node).or_default());
+    }
+
+    fn clock(&mut self, node: NodeId, set: impl FnOnce(&mut ClockFault)) {
+        set(self.ensure_chaos().clocks.entry(node).or_default());
+    }
+
+    /// The VMN stays in the scene; copies addressed to it now resolve as
+    /// disconnected drops, as on the TCP frontend.
+    fn disconnect(&mut self, node: NodeId) {
+        self.nodes.remove(&node);
+    }
+
+    fn park(&mut self, node: NodeId) {
+        if let Some(client) = self.nodes.remove(&node) {
+            self.ensure_chaos().parked.insert(node, client);
         }
-        self.nodes.insert(id, node);
-        self.pump(id);
+    }
+
+    /// Reboots the parked client app on the re-added node.
+    fn revive(&mut self, id: NodeId) {
+        let Some(mut node) = self.ensure_chaos().parked.remove(&id) else { return };
+        if let Some(v) = self.pipeline.scene().node(id) {
+            node.nic.set_radios(v.radios.clone());
+        }
+        self.start_app(id, node);
+    }
+
+    fn redeliver(&mut self, held: Vec<Delivery>) {
+        for d in held {
+            self.deliver(d);
+        }
+    }
+
+    fn schedule(&mut self, at: EmuTime, step: FaultStep) {
+        self.schedule.schedule(at, SimEvent::Fault(step));
     }
 }
 
@@ -1159,6 +943,35 @@ mod tests {
         assert_eq!(flushed, 3, "{h2:?}");
         // 7 beacons heard in total (1..7 s): none were lost, only delayed.
         assert_eq!(h2.len(), 7, "{h2:?}");
+    }
+
+    #[test]
+    fn second_stall_extends_the_first_and_keeps_its_copies() {
+        let (mut net, _h1, heard2) = beacon_pair();
+        let mut plan = FaultPlan::new();
+        plan.push(
+            EmuTime::from_millis(1_500),
+            FaultKind::Stall { node: NodeId(2), duration: EmuDuration::from_secs(3) },
+        )
+        .push(
+            EmuTime::from_millis(3_500),
+            FaultKind::Stall { node: NodeId(2), duration: EmuDuration::from_secs(1) },
+        );
+        net.install_faults(&plan);
+        // Every beacon of 1..7 s has fired by 7.5 s; nothing is in flight.
+        net.run_until(EmuTime::from_millis(7_500));
+        let heard = heard2.lock().len();
+        assert_eq!(heard, 7, "the copies held by the first stall were lost");
+        let traffic = net.recorder().traffic();
+        let to2 = poem_record::TrafficQuery::new(&traffic).to(NodeId(2)).copy_counts();
+        assert_eq!((to2.forwarded, to2.disconnected), (7, 0), "{to2:?}");
+        // Every copy the pipeline scheduled has a Forward or Drop row.
+        let all = poem_record::TrafficQuery::new(&traffic).copy_counts();
+        assert_eq!(
+            Some(all.forwarded + all.disconnected),
+            net.metrics().counter("poem_ingest_deliveries_total"),
+            "{all:?}"
+        );
     }
 
     #[test]
