@@ -254,6 +254,15 @@ fn main() {
     std::thread::sleep(Duration::from_secs_f64(run_secs));
     let _ = driver.join();
 
+    // Stop the server before counting and saving: its scan thread records
+    // every copy that fires, so logs taken while it runs miss the tail.
+    // Shutdown also flips `running`, so a fault driver with restores
+    // beyond the run duration exits instead of pinning the process.
+    server.shutdown();
+    if let Some(h) = fault_driver {
+        let _ = h.join();
+    }
+
     let recorder = server.recorder();
     let (traffic, ops) = recorder.counts();
     println!("recorded {traffic} traffic events, {ops} scene ops");
@@ -268,11 +277,5 @@ fn main() {
             println!("logs saved to {}.{{traffic,scene,metrics,faults}}.poemlog", stem.display())
         }
         Err(e) => eprintln!("could not save logs: {e}"),
-    }
-    // Shutdown flips `running`, so a fault driver with restores beyond the
-    // run duration exits instead of pinning the process.
-    server.shutdown();
-    if let Some(h) = fault_driver {
-        let _ = h.join();
     }
 }

@@ -74,6 +74,6 @@ fn main() {
     }
     assert!(!received.is_empty(), "data must arrive via the dual-radio relay");
 
-    let (traffic, scene_ops) = (net.recorder().traffic().len(), net.recorder().scene().len());
+    let (traffic, scene_ops) = net.recorder().counts();
     println!("\nrecorder captured {traffic} traffic events and {scene_ops} scene ops");
 }

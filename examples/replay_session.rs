@@ -1,6 +1,7 @@
 //! Post-emulation replay (§3.2 step 7 / Table 1): run an emulation with
 //! mobility and interactive scene ops, persist both logs to disk, load
-//! them back, and step through the reconstructed run.
+//! them back (asserting the traffic log equals the live one), and step through the
+//! reconstructed run.
 //!
 //! ```sh
 //! cargo run --example replay_session
@@ -52,6 +53,7 @@ fn main() {
 
     // --- reload + replay ----------------------------------------------
     let loaded = Recorder::load(&stem).unwrap();
+    assert_eq!(loaded.traffic(), net.recorder().traffic(), "reloaded traffic log differs");
     let engine = ReplayEngine::new(loaded.scene());
     let (first, last) = engine.span().unwrap();
     println!("\nreplaying {} ops spanning {first} .. {last}", engine.len());
