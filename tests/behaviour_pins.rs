@@ -4,7 +4,8 @@
 //! and fault logs of one virtual-time run, in that order. The runs cover
 //! the committed scenario library (with its profiles and scripted
 //! faults), the chaos script of `replay_determinism`, and the full fault
-//! plan of `chaos_soak` at its default seeds. A refactor that claims to
+//! plan of `chaos_soak` at its default seeds, and a CSMA + power-metered
+//! run whose digest also covers the energy ledger. A refactor that claims to
 //! keep behaviour must leave every digest unchanged; a deliberate
 //! behaviour change updates the table below in the same commit and says
 //! why.
@@ -12,7 +13,9 @@
 use bytes::Bytes;
 use poem_chaos::{FaultKind, FaultPlan};
 use poem_client::{ClientApp, Nic};
+use poem_core::energy::PowerProfile;
 use poem_core::linkmodel::LinkParams;
+use poem_core::mac::MacModel;
 use poem_core::mobility::MobilityModel;
 use poem_core::packet::Destination;
 use poem_core::radio::RadioConfig;
@@ -23,6 +26,7 @@ use poem_record::Recorder;
 use poem_routing::{Router, RouterConfig};
 use poem_server::script::Script;
 use poem_server::sim::{SimConfig, SimNet};
+use poem_server::PipelineConfig;
 
 /// The committed digests, one per named run.
 const PINS: &[(&str, u64)] = &[
@@ -34,6 +38,7 @@ const PINS: &[(&str, u64)] = &[
     ("soak/full_plan/7", 0x3c460c88cc712f26),
     ("soak/full_plan/42", 0x1a5a666c9a920108),
     ("soak/full_plan/1337", 0x87eb30a022f7e3ad),
+    ("models/csma_energy", 0x2c38b87cfc784ee2),
 ];
 
 /// 64-bit FNV-1a.
@@ -263,6 +268,40 @@ fn soak_run(seed: u64) -> u64 {
     digest(&net.recorder())
 }
 
+/// The MAC and energy layers around the decision kernel: CSMA over a
+/// slow shared channel with power metering on. Nodes 1 and 3 cannot hear
+/// each other but both reach node 2 (hidden terminals collide there);
+/// nodes 1, 4 and 5 sit within carrier-sense range of each other (they
+/// defer). The digest folds in every node's energy account after the
+/// logs, so a change to what is metered flips it too.
+fn csma_energy_run() -> u64 {
+    let models = PipelineConfig { mac: MacModel::Csma, power: Some(PowerProfile::wifi_11b()) };
+    let mut net = SimNet::new(SimConfig { seed: 42, models, ..SimConfig::default() });
+    let nodes =
+        [(1u32, 0.0, 0.0), (2, 150.0, 0.0), (3, 300.0, 0.0), (4, 60.0, 80.0), (5, 0.0, 120.0)];
+    for &(id, x, y) in &nodes {
+        let peer = NodeId(1 + (id % 5));
+        net.add_node(
+            NodeId(id),
+            Point::new(x, y),
+            RadioConfig::single(ChannelId(1), 180.0),
+            MobilityModel::Stationary,
+            LinkParams::ideal(250e3),
+            Box::new(Chatter::new(ChannelId(1), peer, 40, 30 + 7 * i64::from(id))),
+        )
+        .expect("valid node");
+    }
+    net.run_until(EmuTime::from_secs(10));
+    let pipeline = net.pipeline();
+    assert!(pipeline.collision_drops() > 0, "no hidden-terminal collision");
+    assert!(pipeline.csma_deferrals() > 0, "no carrier-sense deferral");
+    let book = pipeline.energy().expect("power metering on");
+    nodes.iter().fold(digest(&net.recorder()), |h, &(id, ..)| {
+        let account = book.account(NodeId(id)).expect("metered node");
+        fnv1a(&poem_proto::to_bytes(account).expect("serialize account"), h)
+    })
+}
+
 #[test]
 fn every_pinned_run_keeps_its_digest() {
     let mut actual: Vec<(String, u64)> = SCENARIOS
@@ -273,6 +312,7 @@ fn every_pinned_run_keeps_its_digest() {
     for seed in [7, 42, 1337] {
         actual.push((format!("soak/full_plan/{seed}"), soak_run(seed)));
     }
+    actual.push(("models/csma_energy".into(), csma_energy_run()));
     let table: String =
         actual.iter().map(|(name, d)| format!("    (\"{name}\", {d:#018x}),\n")).collect();
     let pinned: Vec<(String, u64)> = PINS.iter().map(|&(n, d)| (n.to_string(), d)).collect();
