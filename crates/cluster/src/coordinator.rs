@@ -16,16 +16,14 @@
 //! sockets with a read timeout, so "how long did we wait" is `polls ×
 //! poll_tick` — reproducible arithmetic, not `Instant::now`.
 
+use crate::decide::{settle_packet, unrouted, Delivery, SettleCounters};
 use crate::error::ClusterError;
-use poem_core::packet::Destination;
 use poem_core::partition::{Membership, TilePartition};
 use poem_core::scene::{Scene, SceneOp};
-use poem_core::{EmuPacket, EmuTime, NodeId, Point};
+use poem_core::{EmuPacket, EmuTime, NodeId};
 use poem_obs::{Counter, Gauge, Registry};
-use poem_proto::{
-    ClusterMsg, FrameDecoder, MsgWriter, TargetDecision, WireDecision, PROTOCOL_VERSION,
-};
-use poem_record::{DropReason, Recorder, TrafficRecord};
+use poem_proto::{ClusterMsg, FrameDecoder, MsgWriter, TargetDecision, PROTOCOL_VERSION};
+use poem_record::Recorder;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::Read;
 use std::net::{TcpListener, TcpStream};
@@ -86,19 +84,6 @@ impl Default for ClusterConfig {
 /// are accounting only.
 const NOTICE_CORK_BYTES: usize = 64 * 1024;
 
-/// A forwarding decision settled by the cluster: deliver `packet` to
-/// `to` at `fire_at`. The embedding server schedules it exactly as it
-/// would a pipeline [`poem_server`-style] delivery.
-#[derive(Debug, Clone)]
-pub struct ClusterDelivery {
-    /// Receiving node.
-    pub to: NodeId,
-    /// Emulation time the copy arrives.
-    pub fire_at: EmuTime,
-    /// The packet (payload shared via `Bytes`).
-    pub packet: EmuPacket,
-}
-
 /// What the fleet decided for one batch of packets:
 /// [`Coordinator::decide`]'s result, consumed packet by packet by
 /// [`Coordinator::settle`].
@@ -157,6 +142,9 @@ pub struct Coordinator {
     workers: Vec<WorkerLink>,
     epoch: u64,
     metrics: ClusterMetrics,
+    /// The packet, copy and drop counters the embedding pipeline moves
+    /// for the packets it decides itself.
+    counters: SettleCounters,
 }
 
 /// Resolves the worker binary: explicit config path, then the
@@ -304,7 +292,8 @@ impl Coordinator {
     /// Spawns the worker fleet, ships every worker its mirror sub-scene,
     /// and runs the first barrier. `decide_base` must be the embedding
     /// pipeline's decision-stream base so worker decisions land on the
-    /// same per-packet streams.
+    /// same per-packet streams, and `registry` its metric registry so
+    /// settled packets move the pipeline's packet, copy and drop counters.
     pub fn launch(
         cfg: ClusterConfig,
         decide_base: u64,
@@ -388,7 +377,9 @@ impl Coordinator {
         }
 
         let metrics = ClusterMetrics::new(registry, cfg.workers.max(1));
-        let mut coord = Coordinator { cfg, partition, membership, workers, epoch: 0, metrics };
+        let counters = SettleCounters::new(registry);
+        let mut coord =
+            Coordinator { cfg, partition, membership, workers, epoch: 0, metrics, counters };
 
         // Handshake: assignment, mirror sub-scene, arena, first barrier —
         // queued per worker and written once, by the barrier.
@@ -427,21 +418,6 @@ impl Coordinator {
     /// Shard count.
     pub fn shards(&self) -> u32 {
         self.cfg.workers.max(1)
-    }
-
-    /// Completed barrier epochs.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Current placement.
-    pub fn membership(&self) -> &Membership {
-        &self.membership
-    }
-
-    /// The spatial partition (pins, overrides, tile geometry).
-    pub fn partition(&self) -> &TilePartition {
-        &self.partition
     }
 
     /// OS process ids of the shard workers, in shard order — for
@@ -594,7 +570,7 @@ impl Coordinator {
         pkts: &[EmuPacket],
         received_at: EmuTime,
         recorder: &Recorder,
-    ) -> Result<Vec<ClusterDelivery>, ClusterError> {
+    ) -> Result<Vec<Delivery>, ClusterError> {
         let mut decided = self.decide(pkts, received_at)?;
         let mut out = Vec::new();
         for (idx, pkt) in pkts.iter().enumerate() {
@@ -655,12 +631,12 @@ impl Coordinator {
         Ok(Decided { owners, targets })
     }
 
-    /// The record half, for packet `idx` of a decided batch: replicates
-    /// the pipeline's record order (ingress stamped `received_at`, then
-    /// per-target drops in canonical target order, all off the client
-    /// stamp), appends the surviving copies to `out`, and counts local
-    /// versus cross-shard forwards. A cross-shard notice is queued on the
-    /// target owner's link and leaves with the next write to it (see
+    /// The record half, for packet `idx` of a decided batch: settles the
+    /// worker's outcomes exactly as the pipeline settles its own
+    /// ([`settle_packet`], off the client stamp — workers run no MAC),
+    /// appends the surviving copies to `out`, and counts local versus
+    /// cross-shard forwards. A cross-shard notice is queued on the target
+    /// owner's link and leaves with the next write to it (see
     /// `NOTICE_CORK_BYTES`). Callers settle a batch's packets in order,
     /// each once.
     pub fn settle(
@@ -670,47 +646,47 @@ impl Coordinator {
         pkt: &EmuPacket,
         received_at: EmuTime,
         recorder: &Recorder,
-        out: &mut Vec<ClusterDelivery>,
+        out: &mut Vec<Delivery>,
     ) -> Result<(), ClusterError> {
-        recorder.record_traffic(TrafficRecord::ingress(pkt, received_at));
-        let base = pkt.sent_at;
-        let drop = |to, reason| TrafficRecord::Drop { id: pkt.id, to, at: base, reason };
-        let Some(decider) = decided.owners.get(idx).copied().flatten() else {
-            // Unknown sender: the pipeline's routing comes up empty,
-            // which for a unicast is a recorded routing failure.
-            if let Destination::Unicast(d) = pkt.dst {
-                recorder.record_traffic(drop(d, DropReason::NoRoute));
-            }
-            return Ok(());
-        };
-        let Some(targets) = decided.targets.get_mut(idx).and_then(Option::take) else {
-            return Err(ClusterError::Protocol {
-                shard: decider,
-                detail: format!("no decision returned for {}", pkt.id),
-            });
-        };
-        for td in targets {
-            match td.decision {
-                WireDecision::Forward { fire_at } => {
-                    match self.membership.owner.get(&td.to) {
-                        Some(&owner) if owner != decider => {
-                            self.metrics.forward_cross.inc();
-                            let writer = &mut self.workers[owner as usize].writer;
-                            writer.queue(&ClusterMsg::Forward {
-                                id: pkt.id,
-                                to: td.to,
-                                fire_at,
-                            })?;
-                            if writer.queued() >= NOTICE_CORK_BYTES {
-                                writer.flush()?;
-                            }
-                        }
-                        _ => self.metrics.forward_local.inc(),
+        let decider = decided.owners.get(idx).copied().flatten();
+        let decisions = match decider {
+            // Unknown sender: the pipeline's routing comes up empty.
+            None => unrouted(pkt).into_iter().collect(),
+            Some(shard) => {
+                decided.targets.get_mut(idx).and_then(Option::take).ok_or_else(|| {
+                    ClusterError::Protocol {
+                        shard,
+                        detail: format!("no decision returned for {}", pkt.id),
                     }
-                    out.push(ClusterDelivery { to: td.to, fire_at, packet: pkt.clone() });
+                })?
+            }
+        };
+        let settled = out.len();
+        settle_packet(
+            pkt,
+            received_at,
+            pkt.sent_at,
+            &decisions,
+            &self.counters,
+            recorder,
+            |_| true,
+            out,
+        );
+        for d in &out[settled..] {
+            match self.membership.owner.get(&d.to) {
+                Some(&owner) if Some(owner) != decider => {
+                    self.metrics.forward_cross.inc();
+                    let writer = &mut self.workers[owner as usize].writer;
+                    writer.queue(&ClusterMsg::Forward {
+                        id: pkt.id,
+                        to: d.to,
+                        fire_at: d.fire_at,
+                    })?;
+                    if writer.queued() >= NOTICE_CORK_BYTES {
+                        writer.flush()?;
+                    }
                 }
-                WireDecision::Loss => recorder.record_traffic(drop(td.to, DropReason::Loss)),
-                WireDecision::NoRoute => recorder.record_traffic(drop(td.to, DropReason::NoRoute)),
+                _ => self.metrics.forward_local.inc(),
             }
         }
         Ok(())
@@ -844,19 +820,13 @@ fn add_op(v: &poem_core::scene::Vmn) -> SceneOp {
     }
 }
 
-/// The tile a position falls in under this coordinator's partition —
-/// exposed for tests and tooling.
-pub fn tile_of(partition: &TilePartition, pos: Point) -> (i64, i64) {
-    partition.tile_of(pos)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use poem_core::linkmodel::LinkParams;
     use poem_core::mobility::MobilityModel;
     use poem_core::radio::RadioConfig;
-    use poem_core::ChannelId;
+    use poem_core::{ChannelId, Point};
 
     fn scene_of(n: u32, spacing: f64, range: f64) -> Scene {
         let mut s = Scene::new();

@@ -25,8 +25,8 @@
 //!   structured failure detection (dead/hung shard, never a silent hang).
 //! * [`worker`] — the `poem-shardd` serve loop (the binary itself lives
 //!   in `poem-server`, which owns the CLI surface).
-//! * [`decide`] — the worker-side decision kernel mirroring
-//!   `Pipeline::ingest` semantics.
+//! * [`decide`] — the per-packet decision kernel and settle step, shared
+//!   by workers, the coordinator and `Pipeline::ingest`.
 //! * [`error`] — structured cluster failures.
 
 pub mod coordinator;
@@ -34,5 +34,6 @@ pub mod decide;
 pub mod error;
 pub mod worker;
 
-pub use coordinator::{ClusterConfig, ClusterDelivery, Coordinator, Decided};
+pub use coordinator::{ClusterConfig, Coordinator, Decided};
+pub use decide::Delivery;
 pub use error::ClusterError;

@@ -3,7 +3,8 @@
 //! A worker is deliberately passive: it connects to the coordinator,
 //! receives its assignment, mirrors the member nodes the coordinator
 //! feeds it (owned nodes plus their 3×3 halo), and answers decision
-//! batches with [`crate::decide::decide_packet`]. It never advances
+//! batches with [`crate::decide::decide_packet`] — the kernel the local
+//! pipeline decides with, based at the client stamp. It never advances
 //! mobility (positions arrive as `MoveNode` ops, and each sync's run of
 //! them is relinked in bulk by [`Scene::move_nodes`]), never records
 //! anything (the coordinator is the single log authority), and never
@@ -16,7 +17,9 @@ use crate::error::ClusterError;
 use poem_core::scene::{Scene, SceneOp};
 use poem_core::{EmuTime, NodeId, Point};
 use poem_profiles::{ProfileBook, ProfileLibrary};
-use poem_proto::{ClusterMsg, MsgReader, MsgWriter, PacketDecisions, PROTOCOL_VERSION};
+use poem_proto::{
+    ClusterMsg, MsgReader, MsgWriter, PacketDecisions, TargetDecision, PROTOCOL_VERSION,
+};
 use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 
@@ -29,6 +32,7 @@ struct WorkerState {
     decided: u64,
     forwards_in: u64,
     targets: Vec<NodeId>,
+    decisions: Vec<TargetDecision>,
     /// A run of consecutive `MoveNode` ops not yet applied, and the
     /// latest `at` among them.
     moves: Vec<(NodeId, Point)>,
@@ -45,6 +49,7 @@ impl WorkerState {
             decided: 0,
             forwards_in: 0,
             targets: Vec::new(),
+            decisions: Vec::new(),
             moves: Vec::new(),
             moves_at: EmuTime::ZERO,
         }
@@ -149,15 +154,17 @@ pub fn serve<R: Read, W: Write>(
             ClusterMsg::Batch { received_at: _, pkts } => {
                 let mut results = Vec::with_capacity(pkts.len());
                 for (idx, pkt) in &pkts {
-                    let targets = decide_packet(
+                    decide_packet(
                         &st.scene,
-                        &mut st.book,
+                        st.book.as_mut(),
                         st.decide_base,
+                        pkt.sent_at,
                         pkt,
                         &mut st.targets,
+                        &mut st.decisions,
                     );
                     st.decided += 1;
-                    results.push(PacketDecisions { idx: *idx, targets });
+                    results.push(PacketDecisions { idx: *idx, targets: st.decisions.clone() });
                 }
                 writer.send(&ClusterMsg::BatchResult { results })?;
             }
@@ -385,9 +392,10 @@ mod tests {
         let mut targets = Vec::new();
         packets()
             .iter()
-            .map(|(idx, pkt)| PacketDecisions {
-                idx: *idx,
-                targets: decide_packet(&scene, &mut None, 77, pkt, &mut targets),
+            .map(|(idx, pkt)| {
+                let mut decisions = Vec::new();
+                decide_packet(&scene, None, 77, pkt.sent_at, pkt, &mut targets, &mut decisions);
+                PacketDecisions { idx: *idx, targets: decisions }
             })
             .collect()
     }

@@ -1447,10 +1447,7 @@ fn ingest_batch_best_effort(
 ) -> Vec<Delivery> {
     let settled = shared.on_fleet(|coord| coord.ingest_batch(pkts, received_at, &shared.recorder));
     if let Ok(Some(settled)) = settled {
-        return settled
-            .into_iter()
-            .map(|d| Delivery { to: d.to, fire_at: d.fire_at, packet: d.packet })
-            .collect();
+        return settled;
     }
     Shared::teardown(settled);
     let mut pipeline = shared.pipeline.lock();

@@ -368,8 +368,7 @@ impl SimNet {
             }
             for (k, d) in copies.drain(..).enumerate() {
                 let at = d.fire_at.max(p.now) + p.extra_delay;
-                let delivery = Delivery { to: d.to, fire_at: d.fire_at, packet: d.packet };
-                self.schedule.schedule_reserved(at, p.seq + k as u64, SimEvent::Deliver(delivery));
+                self.schedule.schedule_reserved(at, p.seq + k as u64, SimEvent::Deliver(d));
             }
         }
         window.pkts.clear();

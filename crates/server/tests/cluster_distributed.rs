@@ -184,3 +184,21 @@ fn killed_worker_surfaces_a_structured_error_instead_of_hanging() {
         other => panic!("expected a structured shard-death error, got {other:?}"),
     }
 }
+
+#[test]
+fn two_workers_count_the_single_process_packets_copies_and_drops() {
+    let counts = |workers: u32| {
+        let mut net = build(42, workers);
+        net.run_until(EmuTime::from_secs(25));
+        if let Some(e) = net.cluster_error() {
+            panic!("{workers}-worker run failed: {e}");
+        }
+        net.shutdown_cluster();
+        let snap = net.metrics();
+        ["poem_ingest_packets_total", "poem_ingest_deliveries_total", "poem_drops_total"]
+            .map(|family| (family, snap.counter_family(family)))
+    };
+    let local = counts(0);
+    assert!(local.iter().all(|&(_, n)| n > 0), "scenario left a counter at zero: {local:?}");
+    assert_eq!(counts(2), local, "a 2-worker run counts what the local run counts");
+}
